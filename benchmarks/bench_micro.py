@@ -66,12 +66,12 @@ def test_bench_ws_fit(benchmark):
 
 
 @pytest.mark.benchmark(group="micro")
-def test_bench_pair_f1(benchmark, spark, fda_lake):
-    gold = spark.createDataFrame(fda_lake.gold)
-    pred = spark.createDataFrame(fda_lake.gold.sample(frac=0.8, random_state=0))
+def test_bench_pair_f1(benchmark, fda_lake):
+    gold = fda_lake.gold
+    pred = gold.sample(frac=0.8, random_state=0)
 
     def run():
         return pair_f1(pred, gold).f1
 
-    f1 = benchmark.pedantic(run, rounds=1, iterations=1)
+    f1 = benchmark(run)
     assert 0.8 < f1 <= 1.0

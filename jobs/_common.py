@@ -3,28 +3,21 @@
 Each ``jobs/tableN.py`` is a thin wrapper over
 ``repro.harness.tables.tableN``: it builds (or reuses) a SparkSession,
 runs the harness, prints the measured-vs-paper markdown table, and
-optionally writes it to a file. Run as::
+optionally writes it to a file. Importing this module puts ``src`` on
+``sys.path``, so no ``PYTHONPATH`` is needed. Run as::
 
-    spark-submit jobs/table3.py --n-docs 60 --out results/table3.md
+    python jobs/table3.py --n-docs 60 --out results/table3.md
 """
 from __future__ import annotations
 
 import argparse
+import sys
+from pathlib import Path
 
-from pyspark.sql import SparkSession
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.harness.tables import HarnessConfig, to_markdown
-
-
-def build_session(app: str) -> SparkSession:
-    """SparkSession for standalone job runs (pytest uses conftest's)."""
-    return (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "16")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+from repro.harness.tables import HarnessConfig, to_markdown  # noqa: E402
+from repro.session import build_session  # noqa: E402
 
 
 def parse_cfg(description: str) -> tuple[HarnessConfig, argparse.Namespace]:
@@ -46,7 +39,6 @@ def parse_cfg(description: str) -> tuple[HarnessConfig, argparse.Namespace]:
 def run_table(table_fn, name: str, description: str) -> None:
     cfg, args = parse_cfg(description)
     spark = build_session(name)
-    spark.sparkContext.setLogLevel("ERROR")
     df = table_fn(spark, cfg)
     md = to_markdown(df)
     print(f"\n== {name} (measured vs *_paper reference) ==\n{md}")

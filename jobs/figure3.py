@@ -6,6 +6,7 @@ attributes) and ~2,500 attributes (at 10k documents).
 """
 from __future__ import annotations
 
+import _common  # noqa: F401  (puts src on sys.path)
 from repro.core.cost import CostModel
 
 if __name__ == "__main__":

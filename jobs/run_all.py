@@ -3,17 +3,12 @@
 Run from the repo root: ``python jobs/run_all.py``.
 """
 import time
-import conftest  # noqa: F401  (sets PYSPARK_SUBMIT_ARGS)
-from pyspark.sql import SparkSession
 
-spark = (SparkSession.builder.appName("run-all")
-         .config("spark.sql.shuffle.partitions", "16")
-         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-         .config("spark.sql.autoBroadcastJoinThreshold", -1)
-         .getOrCreate())
-spark.sparkContext.setLogLevel("ERROR")
-
+import _common  # noqa: F401  (puts src on sys.path)
 from repro.harness import tables
+from repro.session import build_session
+
+spark = build_session("run-all")
 cfg = tables.HarnessConfig(n_docs=60)
 
 for name in ["table1", "table2", "table3", "table4", "table5", "table6", "table7"]:

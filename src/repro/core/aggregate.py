@@ -25,7 +25,7 @@ from pyspark.sql import functions as F
 
 from repro.core.metrics import text_f1_strings
 from repro.core.synthesis import Candidate
-from repro.core.ws import fit_label_model, majority_vote
+from repro.core.ws import fit_label_model
 from repro.lakes.base import DataLake
 from repro.llm.mock_llm import CHATBOT_REFUSAL, MockLLM
 from repro.llm.tokens import TokenLedger
@@ -215,5 +215,5 @@ def aggregate_single_function(
 
 __all__ = [
     "AggConfig", "AGGREGATORS", "AttrPlan", "eval_labels", "score_and_plan",
-    "aggregate_votes_spark", "aggregate_single_function", "majority_vote",
+    "aggregate_votes_spark", "aggregate_single_function",
 ]

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.llm.tokens import usd
-
 TOKENS_PER_DOC_PAPER = 10_000
 # Per-attribute fixed budget: ~10 synthesis prompts (chunk + template +
 # generated code) plus ~10 D_eval label extractions. Matches the paper's
@@ -50,7 +48,3 @@ def per_10k_docs(measured_tokens: int, n_docs_measured: int) -> int:
         return 0
     return round(measured_tokens * 10_000 / n_docs_measured)
 
-
-def tokens_to_usd(tokens: int) -> float:
-    """Dollar cost at the davinci rate used in Table 3."""
-    return usd(tokens)

@@ -36,12 +36,6 @@ class DirectResult:
     n_docs: int
 
 
-def _select_docs(lake: DataLake, doc_ids: list[str] | None) -> pd.DataFrame:
-    if doc_ids is None:
-        return lake.docs
-    return lake.docs[lake.docs.doc_id.isin(set(doc_ids))].reset_index(drop=True)
-
-
 def run_direct(
     spark: SparkSession,
     lake: DataLake,
@@ -52,7 +46,7 @@ def run_direct(
 ) -> DirectResult:
     """Run the direct-extraction pipeline over the lake (or a doc sample)."""
     llm = MockLLM(lake, model, seed)
-    docs = _select_docs(lake, doc_ids)
+    docs = lake.select_docs(doc_ids)
     sdf = spark.createDataFrame(docs[["doc_id", "text"]])
 
     def extract(batches):
@@ -113,7 +107,7 @@ def run_closed_direct(
     uses as Algorithm 1's pseudo-labels.
     """
     llm = MockLLM(lake, model, seed)
-    docs = _select_docs(lake, doc_ids)
+    docs = lake.select_docs(doc_ids)
     sdf = spark.createDataFrame(docs[["doc_id", "text"]])
     attrs_b = list(attrs)
 

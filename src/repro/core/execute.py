@@ -24,10 +24,7 @@ def run_functions(
     doc_ids: list[str] | None = None,
 ) -> DataFrame:
     """Apply every candidate function to every document -> votes DF."""
-    docs = lake.docs if doc_ids is None else (
-        lake.docs[lake.docs.doc_id.isin(set(doc_ids))].reset_index(drop=True)
-    )
-    sdf = spark.createDataFrame(docs[["doc_id", "text"]])
+    sdf = spark.createDataFrame(lake.select_docs(doc_ids)[["doc_id", "text"]])
     cand_list = [(c.fid, c.attribute, c.source, c.fn_name) for c in candidates]
 
     def apply_fns(batches):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from repro.core.chunk import split_chunks
 from repro.lakes.base import DataLake
 from repro.llm.mock_llm import MockLLM
 from repro.llm.tokens import TokenLedger
@@ -27,18 +26,6 @@ class Candidate:
     style: str  # "A" | "B"
     source: str
     fn_name: str
-
-
-def find_mention_chunk(lake: DataLake, llm: MockLLM, attr: str, doc_text: str) -> str:
-    """Keyword search for the document portion mentioning the attribute."""
-    surfaces = [s for s, c in lake.aliases.items() if c == (llm.canonical(attr) or attr)]
-    surfaces = sorted(set(surfaces + [attr]), key=len, reverse=True)
-    chunks = split_chunks(doc_text)
-    for ch in chunks:
-        for s in surfaces:
-            if re.search(re.escape(s), ch, re.IGNORECASE):
-                return ch
-    return chunks[0]
 
 
 def generate_candidates(
@@ -64,7 +51,7 @@ def generate_candidates(
     doc_text = dict(zip(lake.docs.doc_id, lake.docs.text))
     out: list[Candidate] = []
     for i, doc_id in enumerate(sample_ids):
-        chunk = find_mention_chunk(lake, llm, attr, doc_text[doc_id])
+        chunk = llm.mention_chunk(attr, doc_text[doc_id])
         for style in styles:
             src, fn_name, t = llm.synthesize_function(attr, chunk, style, salt=doc_id)
             ledger.add("synthesis", t)

@@ -12,15 +12,14 @@ Fitting is EM over the collected vote matrix (driver-side: |docs| x
 an accuracy-weighted log-odds vote, applied at scale as a Spark
 join/groupBy in ``aggregate.py``.
 
-``majority_vote`` is the unsupervised baseline of Table 4.
+Table 4's unsupervised MV baseline is the same Spark vote with every
+weight set to 1.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-
-ABSTAIN = None  # sentinel inside vote dicts
 
 
 @dataclass
@@ -79,11 +78,3 @@ def fit_label_model(
                 acc[fid] = _clip(n_hit / n_tot)
     return LabelModel({f: _clip(p) for f, p in acc.items()}, n_classes)
 
-
-def majority_vote(votes_for_doc: dict[str, str]) -> str:
-    """Plain majority vote (ties broken lexicographically for determinism)."""
-    if not votes_for_doc:
-        return ""
-    counts = Counter(votes_for_doc.values())
-    top = max(counts.values())
-    return sorted(v for v, c in counts.items() if c == top)[0]

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.util import hash_rng, hash_uniform, normalize_attr
 
@@ -129,16 +128,11 @@ class DataLake:
     def n_docs(self) -> int:
         return len(self.docs)
 
-    def docs_df(self, spark: SparkSession) -> DataFrame:
-        """The document collection as a Spark DataFrame."""
-        return spark.createDataFrame(self.docs)
-
-    def gold_df(self, spark: SparkSession) -> DataFrame:
-        return spark.createDataFrame(self.gold)
-
-    def gold_for(self, doc_id: str) -> dict[str, str]:
-        sub = self.gold[self.gold.doc_id == doc_id]
-        return dict(zip(sub.attribute, sub.value))
+    def select_docs(self, doc_ids: list[str] | None) -> pd.DataFrame:
+        """The documents in ``doc_ids`` (all of them for ``None``)."""
+        if doc_ids is None:
+            return self.docs
+        return self.docs[self.docs.doc_id.isin(set(doc_ids))].reset_index(drop=True)
 
     def alias_pool(self, attr: str) -> list[str]:
         """All known surface forms for ``attr`` (for LLM rewording noise)."""

@@ -45,7 +45,3 @@ def make_lake(setting: str, n_docs: int = 100) -> DataLake:
         return swde.make_university_lake(setting.removeprefix("university-"), n_docs)
     raise KeyError(f"unknown setting: {setting!r}")
 
-
-def group_lakes(group: str, n_docs: int = 100) -> list[DataLake]:
-    """All lakes belonging to a source group."""
-    return [make_lake(s, n_docs) for s in GROUPS[group]]

@@ -30,7 +30,7 @@ class TestDomExtractor:
     def test_midrange_quality(self, spark, movie_lake):
         preds, attrs, test_ids = run_dom_baseline(spark, movie_lake)
         gold = movie_lake.gold[movie_lake.gold.doc_id.isin(test_ids)]
-        prf = pair_f1(spark.createDataFrame(preds), spark.createDataFrame(gold))
+        prf = pair_f1(preds, gold)
         assert 0.2 < prf.f1 < 0.9  # trained in-domain: decent, not perfect
 
     def test_extracted_values_match_gold_when_found(self, movie_lake):
@@ -49,10 +49,9 @@ class TestOpenIENaive:
         table = run_openie_baseline(fda_lake)
         assert len(table) > fda_lake.n_docs * 3
 
-    def test_useless_for_pair_f1(self, spark, fda_lake):
+    def test_useless_for_pair_f1(self, fda_lake):
         table = run_openie_baseline(fda_lake)
-        prf = pair_f1(spark.createDataFrame(table),
-                      spark.createDataFrame(fda_lake.gold))
+        prf = pair_f1(table, fda_lake.gold)
         assert prf.f1 < 0.05
 
     def test_triples_from_sentences(self):

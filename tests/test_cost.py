@@ -1,7 +1,7 @@
 """Tests for the Figure-3 cost model and Table-3 cost helpers."""
 import pytest
 
-from repro.core.cost import CostModel, per_10k_docs, tokens_to_usd
+from repro.core.cost import CostModel, per_10k_docs
 
 
 class TestCrossovers:
@@ -51,6 +51,3 @@ class TestHelpers:
 
     def test_per_10k_zero_docs(self):
         assert per_10k_docs(1000, 0) == 0
-
-    def test_tokens_to_usd_davinci(self):
-        assert tokens_to_usd(1_000_000) == pytest.approx(20.0)

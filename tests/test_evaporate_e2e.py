@@ -30,16 +30,14 @@ class TestCodePlusOpenIE:
         alive = set(fda_code_plus.attrs)
         assert len(alive & set(fda_lake.gold_attrs)) >= 6
 
-    def test_quality_band(self, spark, fda_lake, fda_code_plus):
-        prf = pair_f1(spark.createDataFrame(fda_code_plus.table),
-                      spark.createDataFrame(fda_lake.gold))
+    def test_quality_band(self, fda_lake, fda_code_plus):
+        prf = pair_f1(fda_code_plus.table, fda_lake.gold)
         assert 0.45 < prf.f1 < 0.95
 
-    def test_precision_exceeds_recall(self, spark, fda_lake, fda_code_plus):
+    def test_precision_exceeds_recall(self, fda_lake, fda_code_plus):
         """Table 1: Code+ precision runs ~20 points above recall —
         filtered attributes are dropped rather than guessed."""
-        prf = pair_f1(spark.createDataFrame(fda_code_plus.table),
-                      spark.createDataFrame(fda_lake.gold))
+        prf = pair_f1(fda_code_plus.table, fda_lake.gold)
         assert prf.precision > prf.recall
 
     def test_ledger_has_all_stages(self, fda_code_plus):
@@ -62,9 +60,9 @@ class TestCodePlusVsCode:
         """The paper's core quality claim: Code+ > Code by a wide margin
         (aggregation over many candidates vs one unvetted function)."""
         code = evaporate.run_code(spark, fda_lake)
-        gold = spark.createDataFrame(fda_lake.gold)
-        plus = pair_f1(spark.createDataFrame(fda_code_plus.table), gold).f1
-        single = pair_f1(spark.createDataFrame(code.table), gold).f1
+        gold = fda_lake.gold
+        plus = pair_f1(fda_code_plus.table, gold).f1
+        single = pair_f1(code.table, gold).f1
         assert plus > single + 0.1
 
     def test_code_cheaper_than_code_plus(self, spark, fda_lake, fda_code_plus):
@@ -91,10 +89,9 @@ class TestAggregatorAblation:
     def test_final_config_at_least_matches_mv(self, spark, fda_art, fda_code_plus):
         """Table 4 ordering on FDA: Algorithm 1 >= plain majority vote."""
         mv = evaporate.finish_code_plus(spark, fda_art, aggregator="mv")
-        from repro.lakes import registry
-        gold = spark.createDataFrame(fda_art.lake.gold)
-        f_mv = pair_f1(spark.createDataFrame(mv.table), gold).f1
-        f_full = pair_f1(spark.createDataFrame(fda_code_plus.table), gold).f1
+        gold = fda_art.lake.gold
+        f_mv = pair_f1(mv.table, gold).f1
+        f_full = pair_f1(fda_code_plus.table, gold).f1
         assert f_full >= f_mv - 0.02
 
     def test_filter_prunes_functions(self, spark, fda_art):
@@ -126,6 +123,5 @@ class TestModelSweep:
     def test_jumbo_survives_enron(self, spark, enron_lake):
         """...but remains competitive on the easy, short-doc lake."""
         res = evaporate.run_code_plus(spark, enron_lake, model="jumbo")
-        prf = pair_f1(spark.createDataFrame(res.table),
-                      spark.createDataFrame(enron_lake.gold))
+        prf = pair_f1(res.table, enron_lake.gold)
         assert prf.f1 > 0.6

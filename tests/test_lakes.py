@@ -76,11 +76,6 @@ class TestGroupStructure:
         with pytest.raises(KeyError):
             registry.make_lake("nope", 5)
 
-    def test_group_lakes(self):
-        lakes = registry.group_lakes("swde_university", 8)
-        assert len(lakes) == 5
-        assert len({l.name for l in lakes}) == 5
-
 
 class TestGoldSchemas:
     def test_fda_has_16_gold_attrs(self, fda_lake):

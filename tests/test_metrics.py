@@ -1,17 +1,22 @@
-"""Tests for Pair F1, Text F1 and schema F1@k — including DuckDB oracle
-checks of the Spark join that counts correct tuples."""
+"""Tests for Pair F1, Text F1 and schema F1@k — including a DuckDB oracle
+check of Pair F1's tuple counts."""
+import duckdb
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
-from repro.core.metrics import (PRF, closed_text_f1, pair_f1, schema_f1_at_k,
-                                text_f1_strings)
-from repro.oracle import assert_equivalent
+from repro.core.metrics import (PRF, _tuples, closed_text_f1, pair_f1,
+                                schema_f1_at_k, text_f1_strings)
 
 
-def _df(spark, rows):
-    return spark.createDataFrame(
-        pd.DataFrame(rows, columns=["doc_id", "attribute", "value"]))
+def _df(rows):
+    return pd.DataFrame(rows, columns=["doc_id", "attribute", "value"])
+
+
+# Pair F1's normalization in DuckDB SQL; trim() strips spaces only.
+_CANON_SQL = r"""
+    SELECT DISTINCT doc_id, lower(trim(attribute)) AS attribute,
+           trim(regexp_replace(value, '[ \t\n\x0b\f\r]+', ' ', 'g')) AS value
+    FROM {} WHERE value IS NOT NULL AND length(trim(value)) > 0"""
 
 
 class TestPRF:
@@ -25,69 +30,71 @@ class TestPRF:
 
 
 class TestPairF1:
-    def test_perfect(self, spark):
+    def test_perfect(self):
         rows = [("d1", "a", "x"), ("d2", "b", "y")]
-        prf = pair_f1(_df(spark, rows), _df(spark, rows))
+        prf = pair_f1(_df(rows), _df(rows))
         assert prf.f1 == 1.0
 
-    def test_no_partial_credit_on_value(self, spark):
+    def test_no_partial_credit_on_value(self):
         pred = [("d1", "a", "x extra")]
         gold = [("d1", "a", "x")]
-        assert pair_f1(_df(spark, pred), _df(spark, gold)).f1 == 0.0
+        assert pair_f1(_df(pred), _df(gold)).f1 == 0.0
 
-    def test_attribute_name_must_match(self, spark):
+    def test_attribute_name_must_match(self):
         pred = [("d1", "director details", "x")]
         gold = [("d1", "director", "x")]
-        assert pair_f1(_df(spark, pred), _df(spark, gold)).f1 == 0.0
+        assert pair_f1(_df(pred), _df(gold)).f1 == 0.0
 
-    def test_attribute_case_insensitive(self, spark):
+    def test_attribute_case_insensitive(self):
         pred = [("d1", "Director", "x")]
         gold = [("d1", "director", "x")]
-        assert pair_f1(_df(spark, pred), _df(spark, gold)).f1 == 1.0
+        assert pair_f1(_df(pred), _df(gold)).f1 == 1.0
 
-    def test_empty_prediction_dropped(self, spark):
+    def test_empty_prediction_dropped(self):
         pred = [("d1", "a", ""), ("d1", "b", "y")]
         gold = [("d1", "b", "y")]
-        assert pair_f1(_df(spark, pred), _df(spark, gold)).f1 == 1.0
+        assert pair_f1(_df(pred), _df(gold)).f1 == 1.0
 
-    def test_precision_recall_split(self, spark):
+    def test_precision_recall_split(self):
         pred = [("d1", "a", "x"), ("d1", "junk", "z")]
         gold = [("d1", "a", "x"), ("d1", "b", "y")]
-        prf = pair_f1(_df(spark, pred), _df(spark, gold))
+        prf = pair_f1(_df(pred), _df(gold))
         assert prf.precision == 0.5 and prf.recall == 0.5
 
-    def test_whitespace_normalized(self, spark):
+    def test_whitespace_normalized(self):
         pred = [("d1", "a", "x   y")]
         gold = [("d1", "a", "x y")]
-        assert pair_f1(_df(spark, pred), _df(spark, gold)).f1 == 1.0
+        assert pair_f1(_df(pred), _df(gold)).f1 == 1.0
 
-    def test_duplicates_deduped(self, spark):
+    def test_duplicates_deduped(self):
         pred = [("d1", "a", "x"), ("d1", "a", "x")]
         gold = [("d1", "a", "x")]
-        prf = pair_f1(_df(spark, pred), _df(spark, gold))
+        prf = pair_f1(_df(pred), _df(gold))
         assert prf.precision == 1.0
 
-    def test_counting_join_matches_duckdb(self, spark):
-        """Oracle: the tuple-intersection count Spark computes equals the
-        equivalent DuckDB SQL over the same inputs."""
-        pred = pd.DataFrame(
-            [("d1", "a", "x"), ("d1", "b", "wrong"), ("d2", "a", "x2"),
-             ("d2", "junk", "j")], columns=["doc_id", "attribute", "value"])
-        gold = pd.DataFrame(
-            [("d1", "a", "x"), ("d1", "b", "y"), ("d2", "a", "x2")],
-            columns=["doc_id", "attribute", "value"])
-        p, g = spark.createDataFrame(pred), spark.createDataFrame(gold)
-        joined = (
-            p.join(g, on=["doc_id", "attribute", "value"], how="inner")
-            .groupBy("doc_id").agg(F.count("*").alias("n_correct"))
-        )
-        assert_equivalent(
-            joined,
-            """SELECT p.doc_id AS doc_id, COUNT(*) AS n_correct
-               FROM pred p JOIN gold g USING (doc_id, attribute, value)
-               GROUP BY p.doc_id""",
-            pred=pred, gold=gold,
-        )
+    def test_counts_match_duckdb(self):
+        """Oracle: the (correct, pred, gold) tuple counts equal the DuckDB
+        SQL with the same normalization, deduplicated."""
+        pred = _df([("d1", "a", "x"), ("d1", "a", "x"), ("d1", " A ", "x"),
+                    ("d1", "b", "wrong"), ("d2", "a", "x2\t\n y "),
+                    ("d2", "c", ""), ("d2", "c", "  "), ("d2", "d", None),
+                    ("d2", "e", "\t"), ("d3", "junk", "j")])
+        gold = _df([("d1", "a", "x"), ("d1", "b", "y"), ("d2", "a", "x2 y"),
+                    ("d2", "d", "z"), ("d2", "e", ""), ("d3", "f", None)])
+        con = duckdb.connect()
+        try:
+            con.register("pred_raw", pred)
+            con.register("gold_raw", gold)
+            con.execute(f"CREATE VIEW p AS {_CANON_SQL.format('pred_raw')}")
+            con.execute(f"CREATE VIEW g AS {_CANON_SQL.format('gold_raw')}")
+            want = con.execute(
+                """SELECT (SELECT count(*) FROM p JOIN g USING (doc_id, attribute, value)),
+                          (SELECT count(*) FROM p), (SELECT count(*) FROM g)""").fetchone()
+        finally:
+            con.close()
+        p, g = _tuples(pred), _tuples(gold)
+        assert (len(p & g), len(p), len(g)) == want == (2, 5, 4)
+        assert pair_f1(pred, gold) == PRF.from_counts(*want)
 
 
 class TestTextF1:
@@ -120,7 +127,7 @@ class TestTextF1:
 
 
 class TestClosedTextF1:
-    def test_perfect_grid(self, spark):
+    def test_perfect_grid(self):
         pred = pd.DataFrame([("d1", "a", "x")], columns=["doc_id", "attribute", "value"])
         gold = pred.copy()
         assert closed_text_f1(pred, gold, ["a"], ["d1"]) == 1.0

@@ -145,6 +145,16 @@ class TestMentionChunk:
         ch = fda_llm.mention_chunk(attr, doc.text)
         assert gold[attr] in ch or gold[attr].split(",")[0] in ch
 
+    def test_finds_label_beyond_first_chunk(self, fda_lake, fda_llm):
+        doc = fda_lake.docs.iloc[0]
+        # an attribute present in this document but NOT in its first
+        # chunk, so the keyword search has to do real work
+        chunks = split_chunks(doc.text)
+        gold = fda_llm.gold_pairs(doc.doc_id)
+        attr = next(a for a in reversed(list(gold)) if gold[a] not in chunks[0])
+        ch = fda_llm.mention_chunk(attr, doc.text)
+        assert attr in ch.lower() or gold[attr] in ch
+
     def test_falls_back_to_first_chunk(self, fda_lake, fda_llm):
         ch = fda_llm.mention_chunk("nonexistent attribute xyz", "one\ntwo")
         assert ch == "one\ntwo"

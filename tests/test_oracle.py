@@ -1,53 +1,31 @@
-"""Tests for the provided TPC-H-lite generators (kept as the repo's
-general-purpose synthetic-data substrate) and the DuckDB oracle."""
+"""Tests for the DuckDB correctness oracle itself."""
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
 def li(spark):
-    return synth_data.lineitem(spark, sf=0.001)
+    return spark.createDataFrame(pd.DataFrame({
+        "l_orderkey": [1, 1, 2, 3, 3, 3],
+        "l_returnflag": ["A", "N", "N", "R", "A", "N"],
+        "l_quantity": [5.0, 2.5, 7.0, 1.0, 3.0, 4.5],
+    }))
 
 
 @pytest.fixture(scope="module")
 def orders(spark):
-    return synth_data.orders(spark, sf=0.001)
-
-
-class TestGenerators:
-    def test_lineitem_size(self, li):
-        assert li.count() == 6000
-
-    def test_orders_keys_unique(self, orders):
-        assert orders.select("o_orderkey").distinct().count() == orders.count()
-
-    def test_customer_columns(self, spark):
-        c = synth_data.customer(spark, sf=0.001)
-        assert "c_mktsegment" in c.columns
-
-    def test_part_deterministic(self, spark):
-        a = synth_data.part(spark, sf=0.001).toPandas()
-        b = synth_data.part(spark, sf=0.001).toPandas()
-        assert a.equals(b)
-
-    def test_zipf_skew(self, spark):
-        z = synth_data.zipf_keys(spark, n=20_000, n_keys=1000).toPandas()
-        top = z.k.value_counts().iloc[0]
-        assert top > 20_000 / 1000 * 5  # heavy head
-
-    def test_uniform_keys_range(self, spark):
-        u = synth_data.uniform_keys(spark, n=5000, n_keys=100).toPandas()
-        assert u.k.between(1, 100).all()
+    return spark.createDataFrame(pd.DataFrame({
+        "o_orderkey": [1, 2, 3], "o_orderpriority": ["1-URGENT", "2-HIGH", "1-URGENT"],
+    }))
 
 
 class TestOracle:
     def test_aggregation_equivalence(self, li):
-        agg = (li.groupBy("l_returnflag")
-               .agg(F.sum("l_quantity").alias("qty"),
-                    F.count("*").alias("cnt")))
+        agg = li.groupBy("l_returnflag").agg(
+            F.sum("l_quantity").alias("qty"), F.count("*").alias("cnt"))
         assert_equivalent(
             agg,
             """SELECT l_returnflag, SUM(l_quantity) AS qty, COUNT(*) AS cnt
@@ -55,10 +33,9 @@ class TestOracle:
             lineitem=li,
         )
 
-    def test_join_equivalence(self, spark, li, orders):
+    def test_join_equivalence(self, li, orders):
         j = (li.join(orders, li.l_orderkey == orders.o_orderkey)
-             .groupBy("o_orderpriority")
-             .agg(F.count("*").alias("n")))
+             .groupBy("o_orderpriority").agg(F.count("*").alias("n")))
         assert_equivalent(
             j,
             """SELECT o_orderpriority, COUNT(*) AS n

@@ -2,7 +2,7 @@
 import pytest
 
 from repro.core.synthesis import (Candidate, compile_candidate,
-                                  find_mention_chunk, generate_candidates)
+                                  generate_candidates)
 from repro.llm.mock_llm import MockLLM
 from repro.llm.tokens import TokenLedger
 
@@ -95,21 +95,3 @@ class TestCompileCandidate:
         fn = compile_candidate(Candidate("f", "a", "A", src, "f"))
         assert fn("v=1") == "1"
 
-
-class TestFindMentionChunk:
-    def test_finds_chunk_with_label(self, fda_lake):
-        llm = MockLLM(fda_lake, "davinci")
-        doc = fda_lake.docs.iloc[0]
-        # pick an attribute that is present in this document but NOT in
-        # its first chunk, so the keyword search has to do real work
-        from repro.core.chunk import split_chunks
-        chunks = split_chunks(doc.text)
-        gold = llm.gold_pairs(doc.doc_id)
-        attr = next(a for a in reversed(list(gold)) if gold[a] not in chunks[0])
-        ch = find_mention_chunk(fda_lake, llm, attr, doc.text)
-        assert attr in ch.lower() or gold[attr] in ch
-
-    def test_unknown_attr_falls_back(self, fda_lake):
-        llm = MockLLM(fda_lake, "davinci")
-        ch = find_mention_chunk(fda_lake, llm, "zzz unknown", "a\nb")
-        assert ch == "a\nb"

@@ -1,7 +1,7 @@
 """Tests for the one-coin Dawid-Skene label model and MV baseline."""
 import pytest
 
-from repro.core.ws import LabelModel, _clip, fit_label_model, majority_vote
+from repro.core.ws import LabelModel, _clip, fit_label_model
 
 
 def synthetic_votes(n_docs=60, good_acc=0.9, bad_acc=0.2):
@@ -86,13 +86,3 @@ class TestClip:
         assert _clip(1.0) == 0.95
         assert _clip(0.5) == 0.5
 
-
-class TestMajorityVote:
-    def test_simple_majority(self):
-        assert majority_vote({"a": "x", "b": "x", "c": "y"}) == "x"
-
-    def test_tie_breaks_lexicographically(self):
-        assert majority_vote({"a": "x", "b": "y"}) == "x"
-
-    def test_empty(self):
-        assert majority_vote({}) == ""
