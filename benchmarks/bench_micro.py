@@ -4,6 +4,8 @@
 claim: synthesized functions process documents in fractions of a
 millisecond (they cite 0.00025s per function per document on 2 CPUs).
 """
+import time
+
 import pytest
 
 from repro.core.execute import run_functions
@@ -11,6 +13,7 @@ from repro.core.metrics import pair_f1
 from repro.core.synthesis import compile_candidate, generate_candidates
 from repro.core.ws import fit_label_model
 from repro.lakes import registry
+from repro.llm.mock_llm import MockLLM
 
 
 @pytest.fixture(scope="module")
@@ -21,9 +24,10 @@ def fda_lake():
 @pytest.fixture(scope="module")
 def fda_candidates(fda_lake):
     ids = sorted(fda_lake.docs.doc_id)[:5]
+    llm = MockLLM(fda_lake)
     cands = []
     for attr in fda_lake.gold_attrs[:4]:
-        cands.extend(generate_candidates(fda_lake, attr, sample_ids=ids))
+        cands.extend(generate_candidates(fda_lake, attr, llm, sample_ids=ids))
     return cands
 
 
@@ -32,14 +36,18 @@ def test_bench_function_execution_local(benchmark, fda_lake, fda_candidates):
     """Driver-side function throughput — paper claims ~0.25ms/fn/doc."""
     fns = [compile_candidate(c) for c in fda_candidates]
     texts = list(fda_lake.docs.text)
+    seconds: list[float] = []  # own timer: benchmark.stats is None when disabled
 
     def run():
-        return sum(1 for fn in fns for t in texts if fn(t) is not None)
+        t0 = time.perf_counter()
+        n = sum(1 for fn in fns for t in texts if fn(t) is not None)
+        seconds.append(time.perf_counter() - t0)
+        return n
 
     n = benchmark(run)
     n_applications = len(fns) * len(texts)
     assert n == n_applications
-    per_app = benchmark.stats["mean"] / n_applications
+    per_app = sum(seconds) / len(seconds) / n_applications
     assert per_app < 0.005  # well under 5ms per function-document
 
 @pytest.mark.benchmark(group="micro")

@@ -74,10 +74,9 @@ def eval_labels(
     ledger: TokenLedger,
 ) -> dict[str, str]:
     """LLM F extractions on D_eval — Algorithm 1's pseudo ground truth."""
-    doc_text = dict(zip(lake.docs.doc_id, lake.docs.text))
     out: dict[str, str] = {}
     for d in eval_ids:
-        ctx = llm.mention_chunk(attr, doc_text[d])
+        ctx = llm.mention_chunk(attr, lake.text_of[d])
         v, t = llm.closed_extract(d, attr, ctx)
         ledger.add("eval_labels", t)
         out[d] = "" if v == CHATBOT_REFUSAL else v
@@ -85,19 +84,22 @@ def eval_labels(
 
 
 def score_and_plan(
-    lake: DataLake,
     attr: str,
     candidates: list[Candidate],
-    votes_eval: pd.DataFrame,
     labels: dict[str, str],
-    votes_all: pd.DataFrame,
+    votes: pd.DataFrame,
     cfg: AggConfig,
 ) -> AttrPlan:
-    """Steps 3-5 + label-model fitting for one attribute."""
+    """Steps 3-5 + label-model fitting for one attribute.
+
+    ``votes`` holds this attribute's votes on every document. Scoring
+    reads the rows of the D_eval documents (the keys of ``labels``); the
+    label model is fit on every document's votes from the kept functions.
+    """
     e = (
         sum(1 for v in labels.values() if v) / len(labels) if labels else 0.0
     )
-    ev = votes_eval[votes_eval.attribute == attr]
+    ev = votes[votes.doc_id.isin(list(labels))]
     vote_of = {(r.doc_id, r.fid): r.value for r in ev.itertuples()}
     fids = [c.fid for c in candidates if c.attribute == attr]
 
@@ -130,15 +132,14 @@ def score_and_plan(
     drop_empty = e > cfg.tau if cfg.use_abstain else True
     weights = {f: 1.0 for f in kept}
     if cfg.method == "ws" and kept:
-        av = votes_all[(votes_all.attribute == attr) & votes_all.fid.isin(kept)]
-        votes: dict[str, dict[str, str]] = {}
-        for r in av.itertuples():
+        by_doc: dict[str, dict[str, str]] = {}
+        for r in votes[votes.fid.isin(kept)].itertuples():
             val = r.value
             if not val and drop_empty:
                 continue  # abstention
-            votes.setdefault(r.doc_id, {})[r.fid] = val
-        votes = {d: _top_b(v, cfg.b) for d, v in votes.items()}
-        model = fit_label_model(votes, kept, n_classes=cfg.b)
+            by_doc.setdefault(r.doc_id, {})[r.fid] = val
+        by_doc = {d: _top_b(v, cfg.b) for d, v in by_doc.items()}
+        model = fit_label_model(by_doc, kept, n_classes=cfg.b)
         weights = {f: model.weight(f) for f in kept}
     return AttrPlan(attr, e, scores, kept, weights, drop_empty)
 

@@ -1,10 +1,11 @@
 """EVAPORATE-DIRECT (§3.1): prompt the LLM on every chunk of every doc.
 
 The distributed dataflow: documents live in a Spark DataFrame and an
-Arrow ``mapInPandas`` UDF invokes the (simulated) LLM per chunk,
-emitting long-format extraction rows. Attribute outputs are merged per
-document, then ranked by document frequency so the head-k attributes
-form the output table (§3.1 "Prioritizing common attributes").
+Arrow ``mapInPandas`` UDF invokes the (simulated) LLM per chunk and
+emits one row per document: its tokens and its attribute -> value map,
+merged over the document's chunks. Attributes are then ranked by
+document frequency so the head-k attributes form the output table
+(§3.1 "Prioritizing common attributes").
 
 Also hosts the ClosedIE direct extractor (prompt E.2) used for Table 2's
 Direct rows, Table 7, and Algorithm 1's D_eval labels.
@@ -22,7 +23,7 @@ from repro.lakes.base import DataLake
 from repro.llm.mock_llm import MockLLM
 from repro.util import normalize_attr
 
-_TOKENS_SENTINEL = "__doc_tokens__"
+_DOC_SCHEMA = "doc_id string, tokens long, pairs map<string,string>"
 _OUT_SCHEMA = "doc_id string, attribute string, value string, tokens long"
 
 
@@ -63,16 +64,13 @@ def run_direct(
                         na = normalize_attr(a)
                         if na and v and na not in merged:
                             merged[na] = v
-                rows.extend((r.doc_id, a, v, 0) for a, v in merged.items())
-                rows.append((r.doc_id, _TOKENS_SENTINEL, "", doc_tokens))
-            yield pd.DataFrame(rows, columns=["doc_id", "attribute", "value", "tokens"])
+                rows.append((r.doc_id, doc_tokens, merged))
+            yield pd.DataFrame(rows, columns=["doc_id", "tokens", "pairs"])
 
-    raw = sdf.mapInPandas(extract, _OUT_SCHEMA)
-    raw = raw.persist()
+    raw = sdf.mapInPandas(extract, _DOC_SCHEMA).persist()
     try:
-        tokens = raw.filter(F.col("attribute") == _TOKENS_SENTINEL).agg(
-            F.sum("tokens").alias("t")).collect()[0]["t"] or 0
-        ext = raw.filter(F.col("attribute") != _TOKENS_SENTINEL)
+        tokens = raw.agg(F.sum("tokens")).collect()[0][0] or 0
+        ext = raw.select("doc_id", F.explode("pairs").alias("attribute", "value"))
         freq = (
             ext.groupBy("attribute")
             .agg(F.countDistinct("doc_id").alias("n"))
@@ -85,7 +83,7 @@ def run_direct(
     finally:
         raw.unpersist()
     return DirectResult(
-        table=table[["doc_id", "attribute", "value"]],
+        table=table,
         ranked_attrs=ranked,
         tokens=int(tokens),
         n_docs=len(docs),

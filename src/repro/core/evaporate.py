@@ -5,7 +5,8 @@ pipelines: schema synthesis -> candidate generation -> scale-out function
 execution (Spark) -> Algorithm-1 aggregation. ``prepare_code`` computes
 the shared artifacts once so the Table-4 ablation can re-aggregate the
 same votes under MV / WS / WS+Filter / WS+Abstain+Filter without
-re-synthesizing anything.
+re-synthesizing anything. Each run builds one ``MockLLM`` and hands it
+to every stage.
 """
 from __future__ import annotations
 
@@ -48,21 +49,47 @@ class CodeArtifacts:
     """Everything the code pipelines share before aggregation."""
 
     lake: DataLake
-    model: str
-    seed: int
+    llm: MockLLM  # the run's one simulator
     attrs: list[str]
     candidates: list[Candidate]
     votes: object  # persisted Spark DataFrame (doc_id, attribute, fid, value)
     votes_all: pd.DataFrame
-    votes_eval: pd.DataFrame
-    labels: dict[str, dict[str, str]]  # attr -> doc -> LLM F label
-    eval_ids: list[str]
+    labels: dict[str, dict[str, str]]  # attr -> D_eval doc -> LLM F label
     doc_ids: list[str] | None
     ledger: TokenLedger
     schema: SchemaResult | None
 
     def unpersist(self) -> None:
         self.votes.unpersist()
+
+
+def _synthesize(
+    lake: DataLake,
+    llm: MockLLM,
+    given_attrs: list[str] | None,
+    sample_ids: list[str],
+    styles: tuple[str, ...],
+    ledger: TokenLedger,
+) -> tuple[list[str], SchemaResult | None, list[Candidate]]:
+    """The run's attributes (``given_attrs``, or the head of a synthesized
+    schema), the schema if one was synthesized, and every attribute's
+    candidate functions.
+
+    ``synthesize_schema`` and ``generate_candidates`` are looked up in this
+    module's globals, where ``perfbench/spans.py`` rebinds them to trace them.
+    """
+    schema: SchemaResult | None = None
+    if given_attrs is not None:
+        attrs = list(given_attrs)
+    else:
+        schema = synthesize_schema(lake, llm, k_sample=N_SCHEMA_SAMPLE)
+        ledger.merge(schema.ledger)
+        attrs = schema.ranked_attrs[: len(lake.gold_attrs)]
+    candidates = [
+        c for a in attrs for c in generate_candidates(
+            lake, a, llm, sample_ids=sample_ids, styles=styles, ledger=ledger)
+    ]
+    return attrs, schema, candidates
 
 
 def prepare_code(
@@ -78,39 +105,21 @@ def prepare_code(
     """Schema (unless ClosedIE), candidates, votes, and D_eval labels."""
     ledger = TokenLedger()
     llm = MockLLM(lake, model, seed)
-
-    schema: SchemaResult | None = None
-    if given_attrs is not None:
-        attrs = list(given_attrs)
-    else:
-        schema = synthesize_schema(lake, model, seed, k_sample=N_SCHEMA_SAMPLE)
-        ledger.merge(schema.ledger)
-        attrs = schema.ranked_attrs[: len(lake.gold_attrs)]
-
-    fn_ids = sample_doc_ids(lake, n_fn_docs)
-    candidates: list[Candidate] = []
-    for a in attrs:
-        candidates.extend(
-            generate_candidates(
-                lake, a, model=model, seed=seed, sample_ids=fn_ids, ledger=ledger
-            )
-        )
+    attrs, schema, candidates = _synthesize(
+        lake, llm, given_attrs, sample_doc_ids(lake, n_fn_docs), ("A", "B"), ledger)
 
     eval_ids = sample_doc_ids(lake, n_eval)
     run_ids = None
     if doc_ids is not None:
         run_ids = sorted(set(doc_ids) | set(eval_ids))
     votes = run_functions(spark, lake, candidates, run_ids).persist()
-    votes_all = votes.toPandas()
-    votes_eval = votes_all[votes_all.doc_id.isin(set(eval_ids))]
-
     labels = {
         a: agg.eval_labels(lake, llm, a, eval_ids, ledger) for a in attrs
     }
     return CodeArtifacts(
-        lake=lake, model=model, seed=seed, attrs=attrs, candidates=candidates,
-        votes=votes, votes_all=votes_all, votes_eval=votes_eval, labels=labels,
-        eval_ids=eval_ids, doc_ids=doc_ids, ledger=ledger, schema=schema,
+        lake=lake, llm=llm, attrs=attrs, candidates=candidates, votes=votes,
+        votes_all=votes.toPandas(), labels=labels, doc_ids=doc_ids,
+        ledger=ledger, schema=schema,
     )
 
 
@@ -122,23 +131,16 @@ def finish_code_plus(
 ) -> RunResult:
     """Algorithm-1 aggregation on prepared artifacts -> structured view."""
     cfg = agg.AGGREGATORS[aggregator]
-    llm = MockLLM(art.lake, art.model, art.seed)
     ledger = TokenLedger().merge(art.ledger)
 
     plans: dict[str, agg.AttrPlan] = {}
     for a in art.attrs:
-        plan = agg.score_and_plan(
-            art.lake, a, art.candidates, art.votes_eval, art.labels[a],
-            art.votes_all, cfg,
-        )
+        votes = art.votes_all[art.votes_all.attribute == a]
+        plan = agg.score_and_plan(a, art.candidates, art.labels[a], votes, cfg)
         if validate and plan.alive:
-            sample_vals = [
-                v for v in art.votes_all[
-                    (art.votes_all.attribute == a)
-                    & art.votes_all.fid.isin(plan.kept)
-                ].value.tolist() if v
-            ][:5]
-            ok, t = llm.validate_attribute(a, sample_vals)
+            kept = votes[votes.fid.isin(plan.kept)]
+            sample_vals = [v for v in kept.value.tolist() if v][:5]
+            ok, t = art.llm.validate_attribute(a, sample_vals)
             ledger.add("validation", t)
             if not ok:
                 plan.kept = []
@@ -183,22 +185,10 @@ def run_code(
     """EVAPORATE-CODE (§3.2): a single synthesized function per attribute,
     no scoring, no filtering, no ensembling."""
     ledger = TokenLedger()
-    schema: SchemaResult | None = None
-    if given_attrs is not None:
-        attrs = list(given_attrs)
-    else:
-        schema = synthesize_schema(lake, model, seed, k_sample=N_SCHEMA_SAMPLE)
-        ledger.merge(schema.ledger)
-        attrs = schema.ranked_attrs[: len(lake.gold_attrs)]
-
-    first_doc = sample_doc_ids(lake, 1)
-    candidates: list[Candidate] = []
-    for a in attrs:
-        cands = generate_candidates(
-            lake, a, model=model, seed=seed, sample_ids=first_doc,
-            styles=("A",), ledger=ledger,
-        )
-        candidates.extend(cands[:1])
+    llm = MockLLM(lake, model, seed)
+    # one sample document and one prompt style: one function per attribute
+    attrs, schema, candidates = _synthesize(
+        lake, llm, given_attrs, sample_doc_ids(lake, 1), ("A",), ledger)
 
     votes = run_functions(spark, lake, candidates, doc_ids)
     attr_to_fid = {c.attribute: c.fid for c in candidates}

@@ -38,21 +38,14 @@ def sample_doc_ids(lake: DataLake, k: int, *, offset: int = 0) -> list[str]:
 
 
 def synthesize_schema(
-    lake: DataLake,
-    model: str = "davinci",
-    seed: int = 0,
-    k_sample: int = 10,
+    lake: DataLake, llm: MockLLM, k_sample: int = 10
 ) -> SchemaResult:
     """Run schema synthesis over a k-document sample (driver-side: the
     sample is tiny by design; the scale-out work is elsewhere)."""
-    llm = MockLLM(lake, model, seed)
     ledger = TokenLedger()
-    ids = sample_doc_ids(lake, k_sample)
-    doc_text = dict(zip(lake.docs.doc_id, lake.docs.text))
-
     counts: dict[str, int] = {}
-    for doc_id in ids:
-        chunks = split_chunks(doc_text[doc_id])
+    for doc_id in sample_doc_ids(lake, k_sample):
+        chunks = split_chunks(lake.text_of[doc_id])
         seen: set[str] = set()
         for ci, ch in enumerate(chunks):
             pairs, t = llm.openie_extract(doc_id, ch, ci, len(chunks))

@@ -31,9 +31,8 @@ class Candidate:
 def generate_candidates(
     lake: DataLake,
     attr: str,
+    llm: MockLLM,
     *,
-    model: str = "davinci",
-    seed: int = 0,
     sample_ids: list[str],
     styles: tuple[str, ...] = ("A", "B"),
     ledger: TokenLedger | None = None,
@@ -46,12 +45,10 @@ def generate_candidates(
     redundancy legitimately reinforces the majority under aggregation
     (the paper ensembles the top-10 candidates as-is).
     """
-    llm = MockLLM(lake, model, seed)
     ledger = ledger if ledger is not None else TokenLedger()
-    doc_text = dict(zip(lake.docs.doc_id, lake.docs.text))
     out: list[Candidate] = []
     for i, doc_id in enumerate(sample_ids):
-        chunk = llm.mention_chunk(attr, doc_text[doc_id])
+        chunk = llm.mention_chunk(attr, lake.text_of[doc_id])
         for style in styles:
             src, fn_name, t = llm.synthesize_function(attr, chunk, style, salt=doc_id)
             ledger.add("synthesis", t)

@@ -19,7 +19,7 @@ from repro.core import evaporate
 from repro.core.cost import per_10k_docs
 from repro.core.direct import run_closed_direct, run_direct
 from repro.core.metrics import closed_text_f1, pair_f1, schema_f1_at_k
-from repro.core.schema import sample_doc_ids, synthesize_schema
+from repro.core.schema import sample_doc_ids
 from repro.harness import paper
 from repro.lakes import registry
 from repro.lakes.base import DataLake
@@ -251,8 +251,8 @@ def table5(spark: SparkSession, cfg: HarnessConfig | None = None,
                 cp = evaporate.run_code_plus(spark, lake, model, cfg.seed,
                                              doc_ids=sample)
                 c_scores.append(100 * pair_f1(cp.table, gold_s).f1)
-                sr = synthesize_schema(lake, model, cfg.seed)
-                schema_f1s.append(100 * schema_f1_at_k(sr.ranked_attrs, lake.gold_attrs))
+                schema_f1s.append(
+                    100 * schema_f1_at_k(cp.schema.ranked_attrs, lake.gold_attrs))
             ref = paper.TABLE5[model]
             row[f"direct_{group}"] = round(sum(d_scores) / len(d_scores), 1)
             row[f"direct_{group}_paper"] = ref["direct"][group]

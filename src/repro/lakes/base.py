@@ -19,6 +19,7 @@ mechanism behind the paper's "high precision / low recall functions".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import pandas as pd
 
@@ -134,10 +135,11 @@ class DataLake:
             return self.docs
         return self.docs[self.docs.doc_id.isin(set(doc_ids))].reset_index(drop=True)
 
-    def alias_pool(self, attr: str) -> list[str]:
-        """All known surface forms for ``attr`` (for LLM rewording noise)."""
-        pool = [s for s, c in self.aliases.items() if c == attr]
-        return sorted(set(pool + [attr]))
+    @cached_property
+    def text_of(self) -> dict[str, str]:
+        """doc_id -> document text: the lake's one document index, built on
+        first use (``docs`` must not be reassigned afterwards)."""
+        return dict(zip(self.docs.doc_id, self.docs.text))
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,14 @@ class MockLLM:
         self.difficulty = lake.difficulty
         self.fragility = lake.fn_fragility
         self.aliases = dict(lake.aliases)
+        # Surface forms of each canonical attribute, longest first (ties by
+        # text): the keyword search tries the most specific label first.
+        surfaces: dict[str, set[str]] = {}
+        for surf, canon in self.aliases.items():
+            surfaces.setdefault(canon, {canon}).add(surf)
+        self._surfaces = {
+            c: sorted(ss, key=lambda s: (-len(s), s)) for c, ss in surfaces.items()
+        }
         # The LLM extracts what is *in the documents* — gold attributes
         # plus distractor fields (lake.facts) — not what the evaluators
         # later chose to annotate.
@@ -251,10 +259,9 @@ class MockLLM:
         from repro.core.chunk import split_chunks
 
         canon = self.canonical(attribute) or attribute
-        surfaces = [s for s, c in self.aliases.items() if c == canon] + [canon]
         chunks = split_chunks(doc_text, chunk_tokens)
         for ch in chunks:
-            for s in sorted(set(surfaces), key=len, reverse=True):
+            for s in self._surfaces.get(canon, [canon]):
                 if re.search(re.escape(s), ch, re.IGNORECASE):
                     return ch
         return chunks[0]
@@ -365,10 +372,9 @@ class MockLLM:
 
     def _find_label(self, canon: str, chunk: str) -> tuple[str | None, int]:
         """Locate a surface label for ``canon`` in the chunk + its format."""
-        surfaces = [s for s, c in self.aliases.items() if c == canon] + [canon]
         # check literal casings present in the chunk (aliases are normalized;
         # scan case-insensitively then recover the literal text)
-        for surf in sorted(set(surfaces), key=len, reverse=True):
+        for surf in self._surfaces.get(canon, [canon]):
             m = re.search(re.escape(surf), chunk, re.IGNORECASE)
             if not m:
                 continue

@@ -63,7 +63,7 @@ class TestScoreAndPlan:
             eval_rows.append((d, "a", "good", f"v{i}"))
             eval_rows.append((d, "a", "bad", "junk"))
         votes = _votes(eval_rows)
-        plan = score_and_plan(None, "a", cands, votes, labels, votes,
+        plan = score_and_plan("a", cands, labels, votes,
                               AGGREGATORS["ws_abstain_filter"])
         assert "good" in plan.kept and "bad" not in plan.kept
         assert plan.scores["good"] > 0.9 > plan.scores["bad"]
@@ -75,8 +75,8 @@ class TestScoreAndPlan:
         labels = {f"d{i}": f"v{i}" for i in range(10)}
         rows = [("d0", "a", "narrow", "v0"), ("d1", "a", "narrow", "v1")]
         rows += [(f"d{i}", "a", "narrow", "") for i in range(2, 10)]
-        plan = score_and_plan(None, "a", cands, _votes(rows), labels,
-                              _votes(rows), AGGREGATORS["ws_abstain_filter"])
+        plan = score_and_plan("a", cands, labels, _votes(rows),
+                              AGGREGATORS["ws_abstain_filter"])
         assert plan.e == 1.0
         assert plan.kept == ["narrow"]  # scored only where it fired
 
@@ -84,8 +84,8 @@ class TestScoreAndPlan:
         cands = _mk_cands("a", ["quiet"])
         labels = {f"d{i}": "" for i in range(10)}  # attribute absent
         rows = [(f"d{i}", "a", "quiet", "") for i in range(10)]
-        plan = score_and_plan(None, "a", cands, _votes(rows), labels,
-                              _votes(rows), AGGREGATORS["ws_abstain_filter"])
+        plan = score_and_plan("a", cands, labels, _votes(rows),
+                              AGGREGATORS["ws_abstain_filter"])
         assert plan.e == 0.0
         assert not plan.drop_empty
         assert plan.kept == ["quiet"]  # f1("","") == 1 on every doc
@@ -94,8 +94,7 @@ class TestScoreAndPlan:
         cands = _mk_cands("a", ["bad"])
         labels = {f"d{i}": f"v{i}" for i in range(5)}
         rows = [(f"d{i}", "a", "bad", "junk") for i in range(5)]
-        plan = score_and_plan(None, "a", cands, _votes(rows), labels,
-                              _votes(rows), AGGREGATORS["mv"])
+        plan = score_and_plan("a", cands, labels, _votes(rows), AGGREGATORS["mv"])
         assert plan.kept == ["bad"]
 
     def test_top_m_cap(self):
@@ -104,16 +103,15 @@ class TestScoreAndPlan:
         labels = {"d0": "v"}
         rows = [("d0", "a", f, "v") for f in fids]
         cfg = AggConfig(top_m=10)
-        plan = score_and_plan(None, "a", cands, _votes(rows), labels,
-                              _votes(rows), cfg)
+        plan = score_and_plan("a", cands, labels, _votes(rows), cfg)
         assert len(plan.kept) == 10
 
     def test_dead_attribute(self):
         cands = _mk_cands("a", ["f1"])
         labels = {f"d{i}": f"v{i}" for i in range(5)}
         rows = [(f"d{i}", "a", "f1", "wrong") for i in range(5)]
-        plan = score_and_plan(None, "a", cands, _votes(rows), labels,
-                              _votes(rows), AGGREGATORS["ws_abstain_filter"])
+        plan = score_and_plan("a", cands, labels, _votes(rows),
+                              AGGREGATORS["ws_abstain_filter"])
         assert not plan.alive
 
 

@@ -1,8 +1,14 @@
 """Tests for the EVAPORATE-DIRECT pipeline (Spark mapInPandas over docs)."""
+import dataclasses
+
+import pandas as pd
 import pytest
 
+from repro.core.chunk import split_chunks
 from repro.core.direct import run_closed_direct, run_direct
 from repro.core.metrics import closed_text_f1, pair_f1
+from repro.lakes.base import filler
+from repro.llm.mock_llm import MockLLM
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +28,28 @@ class TestRunDirect:
         ids = sorted(fda_lake.docs.doc_id)[:6]
         half = run_direct(spark, fda_lake, doc_ids=ids)
         assert 0 < half.tokens < fda_direct.tokens
+
+    def test_tokens_sum_every_chunk_of_every_doc(self, spark, enron_lake):
+        """``tokens`` is the driver-side sum of openie_extract's tokens over
+        every chunk of every selected doc, docs that yield no pair included."""
+        blank = pd.DataFrame({"doc_id": [f"blank-{i}" for i in range(4)],
+                              "variant": "blank", "text": filler(2500, "blank")})
+        lake = dataclasses.replace(
+            enron_lake, docs=pd.concat([enron_lake.docs, blank], ignore_index=True))
+        ids = sorted(enron_lake.docs.doc_id)[:4] + list(blank.doc_id)
+        res = run_direct(spark, lake, doc_ids=ids)
+
+        llm = MockLLM(lake)
+        expected, no_pair = 0, []
+        for d in ids:
+            chunks = split_chunks(lake.text_of[d])
+            outs = [llm.openie_extract(d, ch, i, len(chunks))
+                    for i, ch in enumerate(chunks)]
+            expected += sum(t for _, t in outs)
+            if not any(pairs for pairs, _ in outs):
+                no_pair.append(d)
+        assert no_pair and not set(no_pair) & set(res.table.doc_id)
+        assert res.tokens == expected
 
     def test_top_k_restricts_attributes(self, spark, fda_lake):
         res = run_direct(spark, fda_lake, top_k=3)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import evaporate
 from repro.core.metrics import closed_text_f1, pair_f1
+from repro.llm.mock_llm import MockLLM
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +101,31 @@ class TestAggregatorAblation:
         n_unf = sum(len(p.kept) for p in unfiltered.plans.values())
         n_fil = sum(len(p.kept) for p in filtered.plans.values())
         assert n_fil < n_unf
+
+
+class TestOneSimulatorPerRun:
+    """A run builds one MockLLM (each build indexes every document's facts)
+    and hands it to schema, synthesis, labelling and validation."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        init = MockLLM.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MockLLM, "__init__", counting_init)
+        return calls
+
+    def test_code_plus_builds_one(self, spark, enron_lake, builds):
+        evaporate.run_code_plus(spark, enron_lake)
+        assert len(builds) == 1
+
+    def test_code_builds_one(self, spark, enron_lake, builds):
+        evaporate.run_code(spark, enron_lake)
+        assert len(builds) == 1
 
 
 class TestDeterminism:

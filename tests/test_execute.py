@@ -6,11 +6,11 @@ from repro.core.synthesis import compile_candidate, generate_candidates
 
 
 @pytest.fixture(scope="module")
-def fda_cands(fda_lake):
+def fda_cands(fda_lake, fda_llm):
     ids = sorted(fda_lake.docs.doc_id)[:3]
     cands = []
     for attr in ("applicant", "classification"):
-        cands.extend(generate_candidates(fda_lake, attr, sample_ids=ids))
+        cands.extend(generate_candidates(fda_lake, attr, fda_llm, sample_ids=ids))
     return cands
 
 

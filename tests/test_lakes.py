@@ -108,9 +108,6 @@ class TestAliases:
         surfaces = [s for s, c in movie_lake.aliases.items() if c == "director"]
         assert surfaces
 
-    def test_alias_pool_contains_canonical(self, fda_lake):
-        assert "510(k) number" in fda_lake.alias_pool("510(k) number")
-
 
 class TestHelpers:
     def test_filler_size(self):

@@ -10,11 +10,6 @@ from repro.util import normalize_attr
 
 
 @pytest.fixture(scope="module")
-def fda_llm(fda_lake):
-    return MockLLM(fda_lake, "davinci")
-
-
-@pytest.fixture(scope="module")
 def enron_llm(enron_lake):
     return MockLLM(enron_lake, "davinci")
 

@@ -3,51 +3,49 @@ import pytest
 
 from repro.core.synthesis import (Candidate, compile_candidate,
                                   generate_candidates)
-from repro.llm.mock_llm import MockLLM
 from repro.llm.tokens import TokenLedger
 
 
 class TestGenerateCandidates:
-    def test_count_is_docs_times_styles(self, fda_lake):
+    def test_count_is_docs_times_styles(self, fda_lake, fda_llm):
         ids = sorted(fda_lake.docs.doc_id)[:5]
-        cands = generate_candidates(fda_lake, "applicant", sample_ids=ids)
+        cands = generate_candidates(fda_lake, "applicant", fda_llm, sample_ids=ids)
         assert len(cands) == 10  # 5 docs x 2 styles (paper's top-10 pool)
 
-    def test_single_style(self, fda_lake):
+    def test_single_style(self, fda_lake, fda_llm):
         ids = sorted(fda_lake.docs.doc_id)[:3]
-        cands = generate_candidates(fda_lake, "applicant", sample_ids=ids,
-                                    styles=("A",))
+        cands = generate_candidates(fda_lake, "applicant", fda_llm,
+                                    sample_ids=ids, styles=("A",))
         assert len(cands) == 3
         assert all(c.style == "A" for c in cands)
 
-    def test_fids_unique(self, fda_lake):
+    def test_fids_unique(self, fda_lake, fda_llm):
         ids = sorted(fda_lake.docs.doc_id)[:5]
-        cands = generate_candidates(fda_lake, "panel", sample_ids=ids)
+        cands = generate_candidates(fda_lake, "panel", fda_llm, sample_ids=ids)
         fids = [c.fid for c in cands]
         assert len(fids) == len(set(fids))
 
-    def test_tokens_metered(self, fda_lake):
+    def test_tokens_metered(self, fda_lake, fda_llm):
         led = TokenLedger()
-        generate_candidates(fda_lake, "applicant",
+        generate_candidates(fda_lake, "applicant", fda_llm,
                             sample_ids=sorted(fda_lake.docs.doc_id)[:2],
                             ledger=led)
         assert led.by_stage["synthesis"] > 0
 
-    def test_deterministic(self, fda_lake):
+    def test_deterministic(self, fda_lake, fda_llm):
         ids = sorted(fda_lake.docs.doc_id)[:4]
-        a = generate_candidates(fda_lake, "classification", sample_ids=ids)
-        b = generate_candidates(fda_lake, "classification", sample_ids=ids)
+        a = generate_candidates(fda_lake, "classification", fda_llm, sample_ids=ids)
+        b = generate_candidates(fda_lake, "classification", fda_llm, sample_ids=ids)
         assert [c.source for c in a] == [c.source for c in b]
 
-    def test_pool_contains_working_function(self, fda_lake):
+    def test_pool_contains_working_function(self, fda_lake, fda_llm):
         """At least one candidate extracts the exact gold value on some doc."""
         ids = sorted(fda_lake.docs.doc_id)[:5]
-        cands = generate_candidates(fda_lake, "product code", sample_ids=ids)
-        llm = MockLLM(fda_lake, "davinci")
+        cands = generate_candidates(fda_lake, "product code", fda_llm, sample_ids=ids)
         for c in cands:
             fn = compile_candidate(c)
             for _, doc in fda_lake.docs.iterrows():
-                gold = llm.gold_pairs(doc.doc_id).get("product code")
+                gold = fda_llm.gold_pairs(doc.doc_id).get("product code")
                 if gold and fn(doc.text) == gold:
                     return
         pytest.fail("no working candidate in the pool")
