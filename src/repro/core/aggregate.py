@@ -3,21 +3,21 @@
 Steps, mapped to the paper's pseudocode:
   2. Collect sample predictions — votes on D_eval + LLM F labels.
   3. Handle abstentions — estimate ``e`` = fraction of D_eval docs where
-     F extracts a value; e > tau means empty function outputs are
-     *abstentions*, e <= tau means they are *predictions of no-value*.
+     F extracts a value; e > TAU means empty function outputs are
+     *abstentions*, e <= TAU means they are *predictions of no-value*.
   4. Score functions — Text-F1 agreement with F's labels; in the high-e
      regime a function is scored only where it extracted a value (so
      high-precision / low-recall variant-specific functions survive).
   5. Filter — drop s_j <= 0.5 (worse-than-random, the WS assumption),
-     keep the top-m scorers.
+     keep the TOP_M scorers.
   6. Collect votes — full-lake function execution (``execute.py``).
-  7. Aggregation — per-document top-b vote bucketing, then the WS label
+  7. Aggregation — per-document top-B vote bucketing, then the WS label
      model's accuracy-weighted vote (or plain MV for the baseline),
      executed as Spark groupBy/window over the votes DataFrame.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, Window
@@ -25,23 +25,22 @@ from pyspark.sql import functions as F
 
 from repro.core.metrics import text_f1_strings
 from repro.core.synthesis import Candidate
-from repro.core.ws import fit_label_model
+from repro.core.ws import B, fit_label_model
 from repro.lakes.base import DataLake
 from repro.llm.mock_llm import CHATBOT_REFUSAL, MockLLM
 from repro.llm.tokens import TokenLedger
 
+TAU = 0.5  # abstention threshold on e (step 3)
+TOP_M = 10  # functions kept per attribute (step 5)
+
 
 @dataclass(frozen=True)
 class AggConfig:
-    """Aggregation strategy knobs (Table 4 ablation axes)."""
+    """Aggregation strategy (Table 4 ablation axes)."""
 
     method: str = "ws"  # "ws" | "mv"
     use_filter: bool = True
     use_abstain: bool = True
-    tau: float = 0.5
-    top_m: int = 10
-    b: int = 4
-    n_eval: int = 10
 
 
 # Table 4 columns
@@ -62,7 +61,7 @@ class AttrPlan:
     scores: dict[str, float]
     kept: list[str]
     weights: dict[str, float]
-    drop_empty: bool  # e > tau and abstentions enabled
+    drop_empty: bool  # e > TAU and abstentions enabled
 
     @property
     def alive(self) -> bool:
@@ -108,7 +107,7 @@ def score_and_plan(
     # means abstain). With it, the regime is e-conditional: high-e keeps
     # fired-only precision scoring; low-e scores over all of D_eval so
     # empty-on-absent counts as correct and fire-on-absent is penalized.
-    fired_only = (not cfg.use_abstain) or e > cfg.tau
+    fired_only = (not cfg.use_abstain) or e > TAU
     scores: dict[str, float] = {}
     for fid in fids:
         ms: list[float] = []
@@ -121,15 +120,15 @@ def score_and_plan(
 
     if cfg.use_filter:
         kept = [f for f in fids if scores[f] > 0.5]
-        kept = sorted(kept, key=lambda f: (-scores[f], f))[: cfg.top_m]
+        kept = sorted(kept, key=lambda f: (-scores[f], f))[:TOP_M]
     else:
-        kept = sorted(fids, key=lambda f: (-scores[f], f))[: cfg.top_m]
+        kept = sorted(fids, key=lambda f: (-scores[f], f))[:TOP_M]
 
     # Voting: off-the-shelf MV/WS treat empty outputs as abstentions
     # (Snorkel convention). With abstention handling, empties become
     # *no-value predictions* in the low-e regime, letting the ensemble
     # actively suppress hallucinated values for absent attributes.
-    drop_empty = e > cfg.tau if cfg.use_abstain else True
+    drop_empty = e > TAU if cfg.use_abstain else True
     weights = {f: 1.0 for f in kept}
     if cfg.method == "ws" and kept:
         by_doc: dict[str, dict[str, str]] = {}
@@ -138,8 +137,8 @@ def score_and_plan(
             if not val and drop_empty:
                 continue  # abstention
             by_doc.setdefault(r.doc_id, {})[r.fid] = val
-        by_doc = {d: _top_b(v, cfg.b) for d, v in by_doc.items()}
-        model = fit_label_model(by_doc, kept, n_classes=cfg.b)
+        by_doc = {d: _top_b(v, B) for d, v in by_doc.items()}
+        model = fit_label_model(by_doc, kept)
         weights = {f: model.weight(f) for f in kept}
     return AttrPlan(attr, e, scores, kept, weights, drop_empty)
 
@@ -157,7 +156,6 @@ def aggregate_votes_spark(
     spark: SparkSession,
     votes: DataFrame,
     plans: dict[str, AttrPlan],
-    cfg: AggConfig,
 ) -> DataFrame:
     """Step 7 at scale: weighted vote per (doc, attribute) in Spark.
 
@@ -189,7 +187,7 @@ def aggregate_votes_spark(
     bucketed = counts.withColumn(
         "bucket_rank",
         F.row_number().over(cell.orderBy(F.desc("n"), F.asc("value"))),
-    ).filter(F.col("bucket_rank") <= cfg.b)
+    ).filter(F.col("bucket_rank") <= B)
 
     winner = bucketed.withColumn(
         "rank",
@@ -198,23 +196,7 @@ def aggregate_votes_spark(
     return winner.filter(F.col("value") != "").select("doc_id", "attribute", "value")
 
 
-def aggregate_single_function(
-    votes: DataFrame, attr_to_fid: dict[str, str]
-) -> DataFrame:
-    """EVAPORATE-CODE: no ensembling — one function's output per attribute."""
-    rows = [(a, f) for a, f in attr_to_fid.items()]
-    if not rows:
-        return votes.sparkSession.createDataFrame(
-            [], schema="doc_id string, attribute string, value string"
-        )
-    sel = votes.sparkSession.createDataFrame(
-        pd.DataFrame(rows, columns=["attribute", "fid"])
-    )
-    out = votes.join(sel, on=["attribute", "fid"], how="inner")
-    return out.filter(F.col("value") != "").select("doc_id", "attribute", "value")
-
-
 __all__ = [
-    "AggConfig", "AGGREGATORS", "AttrPlan", "eval_labels", "score_and_plan",
-    "aggregate_votes_spark", "aggregate_single_function",
+    "TAU", "TOP_M", "B", "AggConfig", "AGGREGATORS", "AttrPlan", "eval_labels",
+    "score_and_plan", "aggregate_votes_spark",
 ]

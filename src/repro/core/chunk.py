@@ -11,21 +11,21 @@ from repro.llm.tokens import count_tokens
 CHUNK_TOKENS = 1000
 
 
-def split_chunks(text: str, chunk_tokens: int = CHUNK_TOKENS) -> list[str]:
-    """Split ``text`` into line-aligned chunks of <= ``chunk_tokens``."""
-    if count_tokens(text) <= chunk_tokens:
+def split_chunks(text: str) -> list[str]:
+    """Split ``text`` into line-aligned chunks of <= ``CHUNK_TOKENS``."""
+    if count_tokens(text) <= CHUNK_TOKENS:
         return [text]
     chunks: list[str] = []
     cur: list[str] = []
     cur_tokens = 0
     for line in text.split("\n"):
         t = count_tokens(line) + 1
-        if cur and cur_tokens + t > chunk_tokens:
+        if cur and cur_tokens + t > CHUNK_TOKENS:
             chunks.append("\n".join(cur))
             cur, cur_tokens = [], 0
         # a single line longer than the window is split hard
-        while t > chunk_tokens:
-            approx_chars = chunk_tokens * 4
+        while t > CHUNK_TOKENS:
+            approx_chars = CHUNK_TOKENS * 4
             chunks.append(line[:approx_chars])
             line = line[approx_chars:]
             t = count_tokens(line) + 1
@@ -34,8 +34,3 @@ def split_chunks(text: str, chunk_tokens: int = CHUNK_TOKENS) -> list[str]:
     if cur:
         chunks.append("\n".join(cur))
     return chunks
-
-
-def n_chunks(text: str, chunk_tokens: int = CHUNK_TOKENS) -> int:
-    """Number of context windows needed for ``text``."""
-    return len(split_chunks(text, chunk_tokens))

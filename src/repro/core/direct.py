@@ -4,8 +4,8 @@ The distributed dataflow: documents live in a Spark DataFrame and an
 Arrow ``mapInPandas`` UDF invokes the (simulated) LLM per chunk and
 emits one row per document: its tokens and its attribute -> value map,
 merged over the document's chunks. Attributes are then ranked by
-document frequency so the head-k attributes form the output table
-(§3.1 "Prioritizing common attributes").
+document frequency; the head attributes, as many as the lake's gold
+schema has, form the output table (§3.1 "Prioritizing common attributes").
 
 Also hosts the ClosedIE direct extractor (prompt E.2) used for Table 2's
 Direct rows, Table 7, and Algorithm 1's D_eval labels.
@@ -31,10 +31,9 @@ _OUT_SCHEMA = "doc_id string, attribute string, value string, tokens long"
 class DirectResult:
     """Output of an Evaporate-Direct run."""
 
-    table: pd.DataFrame  # (doc_id, attribute, value) — top-k attributes only
+    table: pd.DataFrame  # (doc_id, attribute, value) — head attributes only
     ranked_attrs: list[str]  # all extracted attributes, frequency-ranked
     tokens: int  # total LLM tokens processed
-    n_docs: int
 
 
 def run_direct(
@@ -43,12 +42,13 @@ def run_direct(
     model: str = "davinci",
     seed: int = 0,
     doc_ids: list[str] | None = None,
-    top_k: int | None = None,
 ) -> DirectResult:
-    """Run the direct-extraction pipeline over the lake (or a doc sample)."""
+    """Run the direct-extraction pipeline over the lake (or a doc sample).
+
+    The table keeps the ``len(lake.gold_attrs)`` most frequent attributes.
+    """
     llm = MockLLM(lake, model, seed)
-    docs = lake.select_docs(doc_ids)
-    sdf = spark.createDataFrame(docs[["doc_id", "text"]])
+    sdf = spark.createDataFrame(lake.select_docs(doc_ids)[["doc_id", "text"]])
 
     def extract(batches):
         for pdf in batches:
@@ -77,17 +77,11 @@ def run_direct(
             .orderBy(F.desc("n"), F.asc("attribute"))
         )
         ranked = [r["attribute"] for r in freq.collect()]
-        k = top_k if top_k is not None else len(lake.gold_attrs)
-        head = set(ranked[:k])
+        head = set(ranked[: len(lake.gold_attrs)])
         table = ext.filter(F.col("attribute").isin(head)).toPandas()
     finally:
         raw.unpersist()
-    return DirectResult(
-        table=table,
-        ranked_attrs=ranked,
-        tokens=int(tokens),
-        n_docs=len(docs),
-    )
+    return DirectResult(table=table, ranked_attrs=ranked, tokens=int(tokens))
 
 
 def run_closed_direct(
@@ -105,8 +99,7 @@ def run_closed_direct(
     uses as Algorithm 1's pseudo-labels.
     """
     llm = MockLLM(lake, model, seed)
-    docs = lake.select_docs(doc_ids)
-    sdf = spark.createDataFrame(docs[["doc_id", "text"]])
+    sdf = spark.createDataFrame(lake.select_docs(doc_ids)[["doc_id", "text"]])
     attrs_b = list(attrs)
 
     def extract(batches):
@@ -124,5 +117,4 @@ def run_closed_direct(
         table=out[["doc_id", "attribute", "value"]],
         ranked_attrs=attrs_b,
         tokens=int(out.tokens.sum()),
-        n_docs=len(docs),
     )

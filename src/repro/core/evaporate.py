@@ -32,7 +32,6 @@ N_FN_SAMPLE = 5  # docs whose chunks seed function synthesis (§4.4.1)
 class RunResult:
     """Structured view + provenance for one pipeline run."""
 
-    mode: str  # "direct" | "code" | "code_plus"
     table: pd.DataFrame  # (doc_id, attribute, value)
     attrs: list[str]
     ledger: TokenLedger
@@ -99,16 +98,14 @@ def prepare_code(
     seed: int = 0,
     given_attrs: list[str] | None = None,
     doc_ids: list[str] | None = None,
-    n_eval: int = N_SCHEMA_SAMPLE,
-    n_fn_docs: int = N_FN_SAMPLE,
 ) -> CodeArtifacts:
     """Schema (unless ClosedIE), candidates, votes, and D_eval labels."""
     ledger = TokenLedger()
     llm = MockLLM(lake, model, seed)
     attrs, schema, candidates = _synthesize(
-        lake, llm, given_attrs, sample_doc_ids(lake, n_fn_docs), ("A", "B"), ledger)
+        lake, llm, given_attrs, sample_doc_ids(lake, N_FN_SAMPLE), ("A", "B"), ledger)
 
-    eval_ids = sample_doc_ids(lake, n_eval)
+    eval_ids = sample_doc_ids(lake, N_SCHEMA_SAMPLE)
     run_ids = None
     if doc_ids is not None:
         run_ids = sorted(set(doc_ids) | set(eval_ids))
@@ -127,9 +124,12 @@ def finish_code_plus(
     spark: SparkSession,
     art: CodeArtifacts,
     aggregator: str = "ws_abstain_filter",
-    validate: bool = True,
 ) -> RunResult:
-    """Algorithm-1 aggregation on prepared artifacts -> structured view."""
+    """Algorithm-1 aggregation on prepared artifacts -> structured view.
+
+    Every surviving attribute is validated by the LLM on a sample of its
+    kept functions' values; a rejected attribute is dropped.
+    """
     cfg = agg.AGGREGATORS[aggregator]
     ledger = TokenLedger().merge(art.ledger)
 
@@ -137,7 +137,7 @@ def finish_code_plus(
     for a in art.attrs:
         votes = art.votes_all[art.votes_all.attribute == a]
         plan = agg.score_and_plan(a, art.candidates, art.labels[a], votes, cfg)
-        if validate and plan.alive:
+        if plan.alive:
             kept = votes[votes.fid.isin(plan.kept)]
             sample_vals = [v for v in kept.value.tolist() if v][:5]
             ok, t = art.llm.validate_attribute(a, sample_vals)
@@ -149,9 +149,9 @@ def finish_code_plus(
     votes = art.votes
     if art.doc_ids is not None:
         votes = votes.filter(F.col("doc_id").isin(set(art.doc_ids)))
-    table = agg.aggregate_votes_spark(spark, votes, plans, cfg).toPandas()
+    table = agg.aggregate_votes_spark(spark, votes, plans).toPandas()
     return RunResult(
-        mode="code_plus", table=table, attrs=[a for a in art.attrs if plans[a].alive],
+        table=table, attrs=[a for a in art.attrs if plans[a].alive],
         ledger=ledger, schema=art.schema, plans=plans,
     )
 
@@ -163,13 +163,11 @@ def run_code_plus(
     seed: int = 0,
     given_attrs: list[str] | None = None,
     doc_ids: list[str] | None = None,
-    aggregator: str = "ws_abstain_filter",
-    validate: bool = True,
 ) -> RunResult:
     """EVAPORATE-CODE+ end-to-end (§3.3)."""
     art = prepare_code(spark, lake, model, seed, given_attrs, doc_ids)
     try:
-        return finish_code_plus(spark, art, aggregator, validate)
+        return finish_code_plus(spark, art)
     finally:
         art.unpersist()
 
@@ -180,7 +178,6 @@ def run_code(
     model: str = "davinci",
     seed: int = 0,
     given_attrs: list[str] | None = None,
-    doc_ids: list[str] | None = None,
 ) -> RunResult:
     """EVAPORATE-CODE (§3.2): a single synthesized function per attribute,
     no scoring, no filtering, no ensembling."""
@@ -190,8 +187,8 @@ def run_code(
     attrs, schema, candidates = _synthesize(
         lake, llm, given_attrs, sample_doc_ids(lake, 1), ("A",), ledger)
 
-    votes = run_functions(spark, lake, candidates, doc_ids)
-    attr_to_fid = {c.attribute: c.fid for c in candidates}
-    table = agg.aggregate_single_function(votes, attr_to_fid).toPandas()
-    return RunResult(mode="code", table=table, attrs=attrs, ledger=ledger,
-                     schema=schema)
+    # with one function per attribute, its non-empty outputs are the table
+    votes = run_functions(spark, lake, candidates)
+    table = votes.filter(F.col("value") != "").select(
+        "doc_id", "attribute", "value").toPandas()
+    return RunResult(table=table, attrs=attrs, ledger=ledger, schema=schema)

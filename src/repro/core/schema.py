@@ -28,13 +28,13 @@ class SchemaResult:
     ledger: TokenLedger = field(default_factory=TokenLedger)
 
 
-def sample_doc_ids(lake: DataLake, k: int, *, offset: int = 0) -> list[str]:
+def sample_doc_ids(lake: DataLake, k: int) -> list[str]:
     """Deterministic evenly-spaced sample of k document ids."""
     ids = sorted(lake.docs.doc_id)
     if k >= len(ids):
         return ids
     step = len(ids) / k
-    return [ids[min(len(ids) - 1, int(i * step) + offset)] for i in range(k)]
+    return [ids[int(i * step)] for i in range(k)]
 
 
 def synthesize_schema(

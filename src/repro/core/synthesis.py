@@ -62,21 +62,22 @@ def generate_candidates(
 def compile_candidate(cand: Candidate):
     """Compile a candidate's source into a callable.
 
-    Returns a wrapper that coerces any outcome to a string: exceptions
-    and non-string returns become ``""``/joined text — machine-generated
-    functions "always provide some output" (§3.3.2 Assumption 1).
+    Returns a wrapper that coerces any outcome to a string: exceptions,
+    ``sys.exit()``/``exit()`` and non-string returns become ``""``/joined
+    text — machine-generated functions "always provide some output"
+    (§3.3.2 Assumption 1). Interrupts still propagate.
     """
     env: dict = {"re": re}
     try:
         exec(cand.source, env)  # noqa: S102 - sandboxed synthetic source
         fn = env[cand.fn_name]
-    except Exception:
+    except (Exception, SystemExit):
         return lambda text: ""
 
     def safe(text: str) -> str:
         try:
             out = fn(text)
-        except Exception:
+        except (Exception, SystemExit):
             return ""
         if out is None:
             return ""

@@ -21,18 +21,19 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+B = 4  # vote buckets per document: the label model's number of classes
+N_ITER = 10  # EM iterations
+
 
 @dataclass
 class LabelModel:
     """Learned per-function accuracies + vote weights."""
 
     accuracies: dict[str, float]
-    n_classes: int
 
     def weight(self, fid: str) -> float:
         p = self.accuracies.get(fid, 0.5)
-        b = max(2, self.n_classes)
-        return math.log(p * (b - 1) / (1 - p))
+        return math.log(p * (B - 1) / (1 - p))
 
 
 def _clip(p: float, lo: float = 0.05, hi: float = 0.95) -> float:
@@ -40,10 +41,7 @@ def _clip(p: float, lo: float = 0.05, hi: float = 0.95) -> float:
 
 
 def fit_label_model(
-    votes: dict[str, dict[str, str]],
-    fids: list[str],
-    n_classes: int = 4,
-    n_iter: int = 10,
+    votes: dict[str, dict[str, str]], fids: list[str]
 ) -> LabelModel:
     """EM fit of one-coin accuracies from per-doc vote dicts.
 
@@ -54,9 +52,8 @@ def fit_label_model(
     """
     acc = {f: 0.7 for f in fids}
     if not votes:
-        return LabelModel(acc, n_classes)
-    b = max(2, n_classes)
-    for _ in range(n_iter):
+        return LabelModel(acc)
+    for _ in range(N_ITER):
         # E-step: current best guess per doc via weighted vote
         guesses: dict[str, str] = {}
         for doc, v in votes.items():
@@ -65,7 +62,7 @@ def fit_label_model(
             scores: Counter = Counter()
             for fid, val in v.items():
                 p = _clip(acc.get(fid, 0.5))
-                scores[val] += math.log(p * (b - 1) / (1 - p))
+                scores[val] += math.log(p * (B - 1) / (1 - p))
             guesses[doc] = max(sorted(scores), key=lambda k: scores[k])
         # M-step: per-function agreement with the guesses
         for fid in fids:
@@ -76,5 +73,5 @@ def fit_label_model(
                     n_hit += int(v[fid] == guesses[doc])
             if n_tot:
                 acc[fid] = _clip(n_hit / n_tot)
-    return LabelModel({f: _clip(p) for f, p in acc.items()}, n_classes)
+    return LabelModel({f: _clip(p) for f, p in acc.items()})
 

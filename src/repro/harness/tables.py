@@ -4,7 +4,7 @@ Each ``tableN`` function runs the relevant pipelines over the synthetic
 lakes and returns a pandas frame shaped like the paper's table, with the
 paper's reported number alongside each measured one (columns suffixed
 ``_paper``). ``jobs/tableN.py`` are the spark-submit wrappers;
-``benchmarks/bench_tableN.py`` time them.
+``benchmarks/bench_tables.py`` times them.
 """
 from __future__ import annotations
 

@@ -144,9 +144,8 @@ class MockLLM:
     TokenLedger on the driver elsewhere).
     """
 
-    def __init__(self, lake: DataLake, profile: ModelProfile | str = "davinci",
-                 seed: int = 0) -> None:
-        self.profile = PROFILES[profile] if isinstance(profile, str) else profile
+    def __init__(self, lake: DataLake, profile: str = "davinci", seed: int = 0) -> None:
+        self.profile = PROFILES[profile]
         self.seed = seed
         self.lake_name = lake.name
         self.topic = lake.topic
@@ -252,14 +251,13 @@ class MockLLM:
             return " ".join(toks[len(toks) // 2:])
         return value.lower() if value.lower() != value else value.upper()
 
-    def mention_chunk(self, attribute: str, doc_text: str,
-                      chunk_tokens: int = 1000) -> str:
+    def mention_chunk(self, attribute: str, doc_text: str) -> str:
         """Keyword-search the doc for the portion mentioning the attribute
         (§3.2.2) — the context fed to extraction/synthesis prompts."""
         from repro.core.chunk import split_chunks
 
         canon = self.canonical(attribute) or attribute
-        chunks = split_chunks(doc_text, chunk_tokens)
+        chunks = split_chunks(doc_text)
         for ch in chunks:
             for s in self._surfaces.get(canon, [canon]):
                 if re.search(re.escape(s), ch, re.IGNORECASE):

@@ -19,9 +19,9 @@ def count_tokens(text: str) -> int:
     return max(1, round(len(text) / 4))
 
 
-def usd(tokens: int, usd_per_1k: float = USD_PER_1K_TOKENS) -> float:
+def usd(tokens: int) -> float:
     """Dollar cost of processing ``tokens`` at the davinci rate."""
-    return tokens / 1000.0 * usd_per_1k
+    return tokens / 1000.0 * USD_PER_1K_TOKENS
 
 
 class TokenLedger:
@@ -41,10 +41,6 @@ class TokenLedger:
     @property
     def total(self) -> int:
         return sum(self.by_stage.values())
-
-    @property
-    def total_usd(self) -> float:
-        return usd(self.total)
 
     def merge(self, other: "TokenLedger") -> "TokenLedger":
         for k, v in other.by_stage.items():

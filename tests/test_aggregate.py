@@ -1,11 +1,10 @@
 """Tests for Algorithm 1: abstention inference, scoring, filtering,
 top-b bucketing and the Spark weighted-vote aggregation."""
 import pandas as pd
-import pytest
-from pyspark.sql import functions as F
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.aggregate import (AGGREGATORS, AggConfig, AttrPlan, _top_b,
-                                  aggregate_single_function,
+from repro.core.aggregate import (AGGREGATORS, B, AggConfig, AttrPlan, _top_b,
                                   aggregate_votes_spark, eval_labels,
                                   score_and_plan)
 from repro.core.synthesis import Candidate
@@ -102,8 +101,7 @@ class TestScoreAndPlan:
         cands = _mk_cands("a", fids)
         labels = {"d0": "v"}
         rows = [("d0", "a", f, "v") for f in fids]
-        cfg = AggConfig(top_m=10)
-        plan = score_and_plan("a", cands, labels, _votes(rows), cfg)
+        plan = score_and_plan("a", cands, labels, _votes(rows), AggConfig())
         assert len(plan.kept) == 10
 
     def test_dead_attribute(self):
@@ -136,7 +134,7 @@ class TestSparkAggregation:
         ]))
         plans = {"a": AttrPlan("a", 1.0, {}, ["f1", "f2", "f3"],
                                {"f1": 5.0, "f2": 1.0, "f3": 1.0}, True)}
-        out = aggregate_votes_spark(spark, votes, plans, AggConfig()).toPandas()
+        out = aggregate_votes_spark(spark, votes, plans).toPandas()
         assert out.value.tolist() == ["right"]
 
     def test_mv_equal_weights_majority(self, spark):
@@ -146,7 +144,7 @@ class TestSparkAggregation:
         ]))
         plans = {"a": AttrPlan("a", 1.0, {}, ["f1", "f2", "f3"],
                                {"f1": 1.0, "f2": 1.0, "f3": 1.0}, True)}
-        out = aggregate_votes_spark(spark, votes, plans, AggConfig(method="mv")).toPandas()
+        out = aggregate_votes_spark(spark, votes, plans).toPandas()
         assert out.value.tolist() == ["x"]
 
     def test_drop_empty_abstains(self, spark):
@@ -156,7 +154,7 @@ class TestSparkAggregation:
         ]))
         plans = {"a": AttrPlan("a", 1.0, {}, ["f1", "f2", "f3"],
                                {f: 1.0 for f in ("f1", "f2", "f3")}, True)}
-        out = aggregate_votes_spark(spark, votes, plans, AggConfig()).toPandas()
+        out = aggregate_votes_spark(spark, votes, plans).toPandas()
         assert out.value.tolist() == ["val"]
 
     def test_keep_empty_can_suppress(self, spark):
@@ -168,13 +166,13 @@ class TestSparkAggregation:
         ]))
         plans = {"a": AttrPlan("a", 0.0, {}, ["f1", "f2", "f3"],
                                {f: 1.0 for f in ("f1", "f2", "f3")}, False)}
-        out = aggregate_votes_spark(spark, votes, plans, AggConfig()).toPandas()
+        out = aggregate_votes_spark(spark, votes, plans).toPandas()
         assert out.empty  # "" wins the cell and is not emitted
 
     def test_no_alive_plans_empty_result(self, spark):
         votes = spark.createDataFrame(_votes([("d1", "a", "f1", "x")]))
         plans = {"a": AttrPlan("a", 1.0, {}, [], {}, True)}
-        out = aggregate_votes_spark(spark, votes, plans, AggConfig()).toPandas()
+        out = aggregate_votes_spark(spark, votes, plans).toPandas()
         assert out.empty
 
     def test_matches_duckdb_oracle(self, spark):
@@ -188,7 +186,7 @@ class TestSparkAggregation:
         votes = spark.createDataFrame(votes_pd)
         weights = {"f1": 2.0, "f2": 1.0, "f3": 1.5}
         plans = {"a": AttrPlan("a", 1.0, {}, list(weights), weights, True)}
-        out = aggregate_votes_spark(spark, votes, plans, AggConfig(b=4))
+        out = aggregate_votes_spark(spark, votes, plans)
         weights_pd = pd.DataFrame(
             [(f, w) for f, w in weights.items()], columns=["fid", "weight"])
         assert_equivalent(
@@ -207,16 +205,58 @@ class TestSparkAggregation:
         )
 
 
-class TestSingleFunction:
-    def test_selects_one_fid(self, spark):
-        votes = spark.createDataFrame(_votes([
-            ("d1", "a", "f1", "x"), ("d1", "a", "f2", "other"),
-            ("d2", "a", "f1", ""),
-        ]))
-        out = aggregate_single_function(votes, {"a": "f1"}).toPandas()
-        assert out.value.tolist() == ["x"]  # f2 ignored, empty dropped
+# -- property: the Spark vote equals a plain-Python reference ----------------
 
-    def test_empty_mapping(self, spark):
-        votes = spark.createDataFrame(_votes([("d1", "a", "f1", "x")]))
-        out = aggregate_single_function(votes, {}).toPandas()
-        assert out.empty
+_FIDS = [f"f{i}" for i in range(6)]
+_DOCS = ["d0", "d1", "d2"]
+# small alphabet so value and count ties occur; six values exceed B buckets
+_VALUES = st.sampled_from(["", "p", "q", "r", "s", "t"])
+# multiples of 0.25 sum exactly in any order, and tie often
+_WEIGHTS = st.integers(-4, 8).map(lambda n: n * 0.25)
+
+
+@st.composite
+def _vote_sets(draw):
+    plans: dict[str, AttrPlan] = {}
+    rows = []
+    for attr in ("a", "b"):
+        kept = draw(st.lists(st.sampled_from(_FIDS), unique=True))
+        weights = {f: draw(_WEIGHTS) for f in kept}
+        plans[attr] = AttrPlan(attr, 0.0, {}, kept, weights, draw(st.booleans()))
+        for d in _DOCS:
+            for f in _FIDS:
+                v = draw(st.none() | _VALUES)
+                if v is not None:
+                    rows.append((d, attr, f, v))
+    return rows, plans
+
+
+def _reference_vote(rows, plans) -> set[tuple[str, str, str]]:
+    cells: dict[tuple[str, str], dict[str, str]] = {}
+    for d, a, f, v in rows:
+        p = plans[a]
+        if f not in p.kept or (p.drop_empty and v == ""):
+            continue
+        cells.setdefault((d, a), {})[f] = v
+    out = set()
+    for (d, a), votes in cells.items():
+        score: dict[str, float] = {}
+        for f, v in _top_b(votes, B).items():
+            score[v] = score.get(v, 0.0) + plans[a].weights[f]
+        winner = min(score, key=lambda v: (-score[v], v))
+        if winner:
+            out.add((d, a, winner))
+    return out
+
+
+class TestSparkVoteProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(case=_vote_sets())
+    def test_matches_python_reference(self, spark, case):
+        rows, plans = case
+        votes = spark.createDataFrame(
+            rows, schema="doc_id string, attribute string, fid string, value string")
+        out = aggregate_votes_spark(spark, votes, plans).toPandas()
+        got = set(zip(out.doc_id, out.attribute, out.value))
+        assert len(got) == len(out)
+        assert got == _reference_vote(rows, plans)

@@ -1,5 +1,5 @@
 """Unit tests for context-window chunking."""
-from repro.core.chunk import CHUNK_TOKENS, n_chunks, split_chunks
+from repro.core.chunk import CHUNK_TOKENS, split_chunks
 from repro.llm.tokens import count_tokens
 
 
@@ -9,47 +9,32 @@ class TestSplitChunks:
 
     def test_chunks_fit_window(self):
         text = "\n".join(f"line {i} " + "word " * 30 for i in range(200))
-        for ch in split_chunks(text, 500):
-            assert count_tokens(ch) <= 500 + 40  # small slack for joins
+        for ch in split_chunks(text):
+            assert count_tokens(ch) <= CHUNK_TOKENS + 40  # small slack for joins
 
     def test_all_lines_preserved(self):
-        lines = [f"line-{i}" for i in range(500)]
+        lines = [f"line-{i}" for i in range(5000)]
         text = "\n".join(lines)
-        rejoined = "\n".join(split_chunks(text, 100))
+        rejoined = "\n".join(split_chunks(text))
         for line in lines:
             assert line in rejoined
 
     def test_line_not_split_across_chunks(self):
-        text = "\n".join(f"attribute-{i}: value-{i}" for i in range(300))
-        for ch in split_chunks(text, 100):
+        text = "\n".join(f"attribute-{i}: value-{i}" for i in range(3000))
+        for ch in split_chunks(text):
             for line in ch.split("\n"):
                 if line.startswith("attribute-"):
                     assert line.count(":") == 1  # label and value together
 
     def test_oversized_single_line_is_hard_split(self):
         text = "x" * 20_000  # 5000 tokens on one line
-        chunks = split_chunks(text, 1000)
+        chunks = split_chunks(text)
         assert len(chunks) >= 5
-        assert all(count_tokens(c) <= 1001 for c in chunks)
+        assert all(count_tokens(c) <= CHUNK_TOKENS + 1 for c in chunks)
 
     def test_empty_text(self):
         assert split_chunks("") == [""]
 
     def test_deterministic(self):
-        text = "\n".join("word " * 50 for _ in range(100))
-        assert split_chunks(text, 300) == split_chunks(text, 300)
-
-
-class TestNChunks:
-    def test_matches_split(self):
-        text = "\n".join("word " * 40 for _ in range(100))
-        assert n_chunks(text, 200) == len(split_chunks(text, 200))
-
-    def test_default_window(self):
-        assert n_chunks("short") == 1
-        assert CHUNK_TOKENS == 1000
-
-    def test_grows_with_text(self):
-        small = "\n".join("w " * 100 for _ in range(10))
-        big = "\n".join("w " * 100 for _ in range(100))
-        assert n_chunks(big, 300) > n_chunks(small, 300)
+        text = "\n".join("word " * 50 for _ in range(300))
+        assert split_chunks(text) == split_chunks(text)

@@ -22,6 +22,11 @@ def fda_code_plus(spark, fda_art):
     return evaporate.finish_code_plus(spark, fda_art)
 
 
+@pytest.fixture(scope="module")
+def fda_code(spark, fda_lake):
+    return evaporate.run_code(spark, fda_lake)
+
+
 class TestCodePlusOpenIE:
     def test_table_nonempty(self, fda_code_plus):
         assert len(fda_code_plus.table) > 0
@@ -57,18 +62,25 @@ class TestCodePlusOpenIE:
 
 
 class TestCodePlusVsCode:
-    def test_ensembling_beats_single_function(self, spark, fda_lake, fda_code_plus):
+    def test_ensembling_beats_single_function(self, fda_lake, fda_code, fda_code_plus):
         """The paper's core quality claim: Code+ > Code by a wide margin
         (aggregation over many candidates vs one unvetted function)."""
-        code = evaporate.run_code(spark, fda_lake)
         gold = fda_lake.gold
         plus = pair_f1(fda_code_plus.table, gold).f1
-        single = pair_f1(code.table, gold).f1
+        single = pair_f1(fda_code.table, gold).f1
         assert plus > single + 0.1
 
-    def test_code_cheaper_than_code_plus(self, spark, fda_lake, fda_code_plus):
-        code = evaporate.run_code(spark, fda_lake)
-        assert code.tokens < fda_code_plus.tokens
+    def test_code_cheaper_than_code_plus(self, fda_code, fda_code_plus):
+        assert fda_code.tokens < fda_code_plus.tokens
+
+    def test_code_table_one_nonempty_value_per_cell(self, fda_code):
+        """Code's table is its one function's non-empty outputs: no empty
+        value, and no two values for one (doc, attribute) cell."""
+        table = fda_code.table
+        assert len(table) > 0
+        assert list(table.columns) == ["doc_id", "attribute", "value"]
+        assert (table.value != "").all()
+        assert not table.duplicated(["doc_id", "attribute"]).any()
 
 
 class TestClosedIEMode:

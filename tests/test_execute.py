@@ -2,7 +2,7 @@
 import pytest
 
 from repro.core.execute import run_functions
-from repro.core.synthesis import compile_candidate, generate_candidates
+from repro.core.synthesis import Candidate, compile_candidate, generate_candidates
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +41,22 @@ class TestRunFunctions:
         }
         for r in votes.itertuples():
             assert local[(r.doc_id, r.fid)] == r.value
+
+    def test_exiting_functions_yield_empty(self, spark, fda_lake):
+        """A generated function that calls sys.exit() when defined or when
+        called votes "" on every document instead of failing the job."""
+        cands = [
+            Candidate("a::A0", "a", "A",
+                      "import sys\nsys.exit(3)\ndef get_a(text):\n    return 'x'\n",
+                      "get_a"),
+            Candidate("b::A0", "b", "A",
+                      "def get_b(text):\n    import sys\n    sys.exit(4)\n",
+                      "get_b"),
+        ]
+        votes = run_functions(spark, fda_lake, cands).toPandas()
+        assert len(votes) == fda_lake.n_docs * len(cands)
+        assert set(votes.fid) == {"a::A0", "b::A0"}
+        assert (votes.value == "").all()
 
     def test_values_are_strings(self, spark, fda_lake, fda_cands):
         votes = run_functions(spark, fda_lake, fda_cands).toPandas()

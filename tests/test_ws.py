@@ -70,13 +70,13 @@ class TestFitLabelModel:
 
 class TestLabelModelWeight:
     def test_unknown_function_neutral(self):
-        m = LabelModel({}, 4)
+        m = LabelModel({})
         assert m.weight("unseen") == pytest.approx(
             m.weight("unseen"))  # stable
-        assert m.weight("unseen") > 0  # 0.5 acc with b=4 -> log(1.5)
+        assert m.weight("unseen") > 0  # 0.5 acc with B=4 -> log(3)
 
     def test_higher_accuracy_higher_weight(self):
-        m = LabelModel({"a": 0.9, "b": 0.6}, 4)
+        m = LabelModel({"a": 0.9, "b": 0.6})
         assert m.weight("a") > m.weight("b")
 
 
