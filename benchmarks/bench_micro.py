@@ -6,8 +6,10 @@ millisecond (they cite 0.00025s per function per document on 2 CPUs).
 """
 import time
 
+import pandas as pd
 import pytest
 
+from repro.core.aggregate import vote_patterns
 from repro.core.execute import run_functions
 from repro.core.metrics import pair_f1
 from repro.core.synthesis import compile_candidate, generate_candidates
@@ -60,16 +62,22 @@ def test_bench_function_execution_spark(benchmark, spark, fda_lake, fda_candidat
 
 
 @pytest.mark.benchmark(group="micro")
-def test_bench_ws_fit(benchmark):
+@pytest.mark.parametrize("n_docs", [500, 4000])
+def test_bench_ws_fit(benchmark, n_docs):
+    """Label-model fit as ``score_and_plan`` runs it: agreement patterns
+    from the vote frame, then EM over the (pattern, count) rows."""
     from repro.util import hash_uniform
-    votes = {
-        f"d{i}": {
-            f"f{j}": (f"v{i}" if hash_uniform("b", i, j) < 0.7 else f"w{j}")
-            for j in range(10)
-        }
-        for i in range(500)
-    }
-    model = benchmark(fit_label_model, votes, [f"f{j}" for j in range(10)])
+    fids = [f"f{j}" for j in range(10)]
+    votes = pd.DataFrame(
+        [(f"d{i}", "a", f"f{j}",
+          f"v{i}" if hash_uniform("b", i, j) < 0.7 else f"w{j}")
+         for i in range(n_docs) for j in range(10)],
+        columns=["doc_id", "attribute", "fid", "value"])
+
+    def run():
+        return fit_label_model(vote_patterns(votes, fids, True), fids)
+
+    model = benchmark(run)
     assert len(model.accuracies) == 10
 
 

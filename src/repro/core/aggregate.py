@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
 from repro.core.metrics import text_f1_strings
 from repro.core.synthesis import Candidate
-from repro.core.ws import B, fit_label_model
+from repro.core.ws import B, Pattern, fit_label_model
 from repro.lakes.base import DataLake
 from repro.llm.mock_llm import CHATBOT_REFUSAL, MockLLM
 from repro.llm.tokens import TokenLedger
@@ -131,25 +132,54 @@ def score_and_plan(
     drop_empty = e > TAU if cfg.use_abstain else True
     weights = {f: 1.0 for f in kept}
     if cfg.method == "ws" and kept:
-        by_doc: dict[str, dict[str, str]] = {}
-        for r in votes[votes.fid.isin(kept)].itertuples():
-            val = r.value
-            if not val and drop_empty:
-                continue  # abstention
-            by_doc.setdefault(r.doc_id, {})[r.fid] = val
-        by_doc = {d: _top_b(v, B) for d, v in by_doc.items()}
-        model = fit_label_model(by_doc, kept)
+        model = fit_label_model(vote_patterns(votes, kept, drop_empty), kept)
         weights = {f: model.weight(f) for f in kept}
     return AttrPlan(attr, e, scores, kept, weights, drop_empty)
 
 
-def _top_b(votes_for_doc: dict[str, str], b: int) -> dict[str, str]:
-    """Keep votes in the doc's top-b value buckets; others abstain."""
-    counts: dict[str, int] = {}
-    for v in votes_for_doc.values():
-        counts[v] = counts.get(v, 0) + 1
-    keep = set(sorted(counts, key=lambda v: (-counts[v], v))[:b])
-    return {f: v for f, v in votes_for_doc.items() if v in keep}
+def vote_patterns(
+    votes: pd.DataFrame, kept: list[str], drop_empty: bool
+) -> dict[Pattern, int]:
+    """Count the documents of each agreement pattern of the kept votes.
+
+    Per document: empty votes abstain if ``drop_empty``; only votes in
+    the top-B value buckets (by count, then value) stay; each remaining
+    vote becomes ``(fid, rank)``, ``rank`` being its value's position
+    among the document's remaining distinct values in string order.
+    """
+    v = votes[votes.fid.isin(kept)]
+    if drop_empty:
+        v = v[v.value != ""]
+    if v.empty:
+        return {}
+    doc, _ = pd.factorize(v.doc_id)
+    val, _ = pd.factorize(v.value, sort=True)  # codes follow string order
+    fid, fid_order = pd.factorize(v.fid, sort=True)
+
+    # value buckets in (doc, value) order, with their vote counts
+    n_val = val.max() + 1
+    keys, bucket, size = np.unique(
+        doc * n_val + val, return_inverse=True, return_counts=True)
+    b_doc = keys // n_val
+    by_size = np.lexsort((keys, -size, b_doc))
+    top = np.zeros(len(keys), dtype=bool)
+    top[by_size] = _cumcount(b_doc[by_size]) < B
+    rank = np.full(len(keys), -1)
+    rank[top] = _cumcount(b_doc[top])
+
+    # one row per document, one column per fid: rank + 1, 0 = no vote
+    grid = np.zeros((doc.max() + 1, len(fid_order)), dtype=np.int8)
+    grid[doc, fid] = rank[bucket] + 1
+    rows, counts = np.unique(grid, axis=0, return_counts=True)
+    return {
+        tuple((fid_order[j], int(row[j]) - 1) for j in np.flatnonzero(row)): int(n)
+        for row, n in zip(rows, counts)
+    }
+
+
+def _cumcount(groups: np.ndarray) -> np.ndarray:
+    """Each element's position among the earlier elements of its group."""
+    return pd.Series(groups).groupby(groups).cumcount().to_numpy()
 
 
 def aggregate_votes_spark(
@@ -198,5 +228,5 @@ def aggregate_votes_spark(
 
 __all__ = [
     "TAU", "TOP_M", "B", "AggConfig", "AGGREGATORS", "AttrPlan", "eval_labels",
-    "score_and_plan", "aggregate_votes_spark",
+    "score_and_plan", "vote_patterns", "aggregate_votes_spark",
 ]

@@ -134,8 +134,10 @@ def finish_code_plus(
     ledger = TokenLedger().merge(art.ledger)
 
     plans: dict[str, agg.AttrPlan] = {}
+    # each attribute's row positions, ascending: one pass over the frame
+    rows_of = art.votes_all.groupby("attribute").indices
     for a in art.attrs:
-        votes = art.votes_all[art.votes_all.attribute == a]
+        votes = art.votes_all.iloc[rows_of.get(a, [])]
         plan = agg.score_and_plan(a, art.candidates, art.labels[a], votes, cfg)
         if plan.alive:
             kept = votes[votes.fid.isin(plan.kept)]

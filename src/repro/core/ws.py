@@ -7,10 +7,13 @@ Appendix-D constraint — equal class-conditional accuracies — is exactly
 the one-coin assumption, needed because the "classes" (candidate value
 strings) differ per document.
 
-Fitting is EM over the collected vote matrix (driver-side: |docs| x
-|functions| is tiny after Algorithm 1's top-m filtering). Inference is
-an accuracy-weighted log-odds vote, applied at scale as a Spark
-join/groupBy in ``aggregate.py``.
+EM reads a document only through its *agreement pattern*: which
+functions vote and how their values compare. Fitting therefore runs on
+the driver over ``(pattern, n_docs)`` rows, one E-step guess per pattern
+and M-step counts weighted by ``n_docs``, so its cost is O(#patterns)
+whatever the lake size (``aggregate.vote_patterns`` builds the rows).
+Inference is an accuracy-weighted log-odds vote, applied at scale as a
+Spark join/groupBy in ``aggregate.py``.
 
 Table 4's unsupervised MV baseline is the same Spark vote with every
 weight set to 1.
@@ -40,38 +43,41 @@ def _clip(p: float, lo: float = 0.05, hi: float = 0.95) -> float:
     return min(hi, max(lo, p))
 
 
-def fit_label_model(
-    votes: dict[str, dict[str, str]], fids: list[str]
-) -> LabelModel:
-    """EM fit of one-coin accuracies from per-doc vote dicts.
+# (fid, rank): rank orders the value among the document's voted values
+Pattern = tuple[tuple[str, int], ...]
 
-    ``votes[doc][fid] = value`` — abstentions are simply absent keys.
-    Initialization is agreement-with-majority; iterations re-estimate the
-    latent label as the accuracy-weighted vote and the accuracies as
-    agreement with that label.
+
+def fit_label_model(patterns: dict[Pattern, int], fids: list[str]) -> LabelModel:
+    """EM fit of one-coin accuracies from agreement-pattern counts.
+
+    ``patterns[pattern] = n_docs``. A pattern lists the ``(fid, rank)`` of
+    a document's non-abstaining votes (at least one), sorted by fid;
+    ``rank`` is the position of the fid's value among the document's
+    distinct values in string order, so equal ranks are agreeing votes
+    and the lowest rank is the smallest value. Initialization is
+    agreement-with-majority; iterations re-estimate the latent label as
+    the accuracy-weighted vote (smallest value on ties) and the
+    accuracies as agreement with that label, each pattern's guess
+    counting once per document.
     """
     acc = {f: 0.7 for f in fids}
-    if not votes:
+    if not patterns:
         return LabelModel(acc)
     for _ in range(N_ITER):
-        # E-step: current best guess per doc via weighted vote
-        guesses: dict[str, str] = {}
-        for doc, v in votes.items():
-            if not v:
-                continue
+        n_tot: Counter = Counter()
+        n_hit: Counter = Counter()
+        for pattern, n in patterns.items():
+            # E-step: current best guess for the pattern via weighted vote
             scores: Counter = Counter()
-            for fid, val in v.items():
+            for fid, rank in pattern:
                 p = _clip(acc.get(fid, 0.5))
-                scores[val] += math.log(p * (B - 1) / (1 - p))
-            guesses[doc] = max(sorted(scores), key=lambda k: scores[k])
-        # M-step: per-function agreement with the guesses
+                scores[rank] += math.log(p * (B - 1) / (1 - p))
+            guess = max(sorted(scores), key=lambda k: scores[k])
+            # M-step counts: per-function agreement with the guess
+            for fid, rank in pattern:
+                n_tot[fid] += n
+                n_hit[fid] += n * (rank == guess)
         for fid in fids:
-            n_tot = n_hit = 0
-            for doc, v in votes.items():
-                if fid in v and doc in guesses:
-                    n_tot += 1
-                    n_hit += int(v[fid] == guesses[doc])
-            if n_tot:
-                acc[fid] = _clip(n_hit / n_tot)
+            if n_tot[fid]:
+                acc[fid] = _clip(n_hit[fid] / n_tot[fid])
     return LabelModel({f: _clip(p) for f, p in acc.items()})
-

@@ -4,13 +4,14 @@ import pandas as pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aggregate import (AGGREGATORS, B, AggConfig, AttrPlan, _top_b,
+from repro.core.aggregate import (AGGREGATORS, B, AggConfig, AttrPlan,
                                   aggregate_votes_spark, eval_labels,
-                                  score_and_plan)
+                                  score_and_plan, vote_patterns)
 from repro.core.synthesis import Candidate
 from repro.llm.mock_llm import MockLLM
 from repro.llm.tokens import TokenLedger
 from repro.oracle import assert_equivalent
+from tests.test_ws import _top_b
 
 
 def _mk_cands(attr, fids):
@@ -114,16 +115,21 @@ class TestScoreAndPlan:
 
 
 class TestTopB:
+    """Top-B bucketing of one document's votes in the label model's input."""
+
     def test_keeps_top_buckets(self):
-        votes = {f"f{i}": "x" for i in range(3)}
-        votes.update({"g0": "y", "h0": "z", "h1": "w", "h2": "q"})
-        out = _top_b(votes, 2)
-        assert set(out.values()) <= {"x", "y", "q", "w", "z"}
-        assert all(v == "x" for f, v in out.items() if f.startswith("f"))
+        # x x x y z w q: with B = 4, x and the smallest single-vote values
+        # q, w, y stay (ranked q < w < x < y) and z's voter abstains
+        assert B == 4
+        fids = ["f0", "f1", "f2", "g0", "h0", "h1", "h2"]
+        rows = [("d0", "a", f, v) for f, v in zip(fids, "xxxyzwq")]
+        assert vote_patterns(_votes(rows), fids, True) == {
+            (("f0", 2), ("f1", 2), ("f2", 2), ("g0", 3), ("h1", 1), ("h2", 0)): 1}
 
     def test_b_larger_than_uniques_keeps_all(self):
-        votes = {"a": "x", "b": "y"}
-        assert _top_b(votes, 4) == votes
+        rows = [("d0", "a", "a", "x"), ("d0", "a", "b", "y")]
+        assert vote_patterns(_votes(rows), ["a", "b"], True) == {
+            (("a", 0), ("b", 1)): 1}
 
 
 class TestSparkAggregation:

@@ -3,6 +3,8 @@
 Uses one shared ``prepare_code`` artifact per lake (module-scoped) so the
 suite exercises the full pipeline without repaying synthesis each test.
 """
+import dataclasses
+
 import pytest
 
 from repro.core import evaporate
@@ -83,6 +85,41 @@ class TestCodePlusVsCode:
         assert not table.duplicated(["doc_id", "attribute"]).any()
 
 
+class TestCodePlusInvariance:
+    """Code+'s table and per-attribute kept functions and weights do not
+    depend on the shuffle partition count or on the order of the lake's
+    documents. Tokens are not compared: the validation sample is the
+    first kept values in row order."""
+
+    @staticmethod
+    def _view(res):
+        table = res.table.sort_values(["doc_id", "attribute", "value"])
+        plans = {a: (p.kept, p.weights) for a, p in res.plans.items()}
+        return table.reset_index(drop=True), plans
+
+    @pytest.fixture(scope="class")
+    def enron_view(self, spark, enron_lake):
+        return self._view(evaporate.run_code_plus(spark, enron_lake))
+
+    @pytest.mark.parametrize("partitions", ["1", "64"])
+    def test_shuffle_partitions(self, spark, enron_lake, enron_view, partitions):
+        before = spark.conf.get("spark.sql.shuffle.partitions")
+        spark.conf.set("spark.sql.shuffle.partitions", partitions)
+        try:
+            table, plans = self._view(evaporate.run_code_plus(spark, enron_lake))
+        finally:
+            spark.conf.set("spark.sql.shuffle.partitions", before)
+        assert table.equals(enron_view[0])
+        assert plans == enron_view[1]
+
+    def test_reversed_documents(self, spark, enron_lake, enron_view):
+        docs = enron_lake.docs.iloc[::-1].reset_index(drop=True)
+        table, plans = self._view(evaporate.run_code_plus(
+            spark, dataclasses.replace(enron_lake, docs=docs)))
+        assert table.equals(enron_view[0])
+        assert plans == enron_view[1]
+
+
 class TestClosedIEMode:
     def test_given_schema_skips_schema_synthesis(self, spark, enron_lake):
         res = evaporate.run_code_plus(spark, enron_lake,
@@ -106,6 +143,14 @@ class TestAggregatorAblation:
         f_mv = pair_f1(mv.table, gold).f1
         f_full = pair_f1(fda_code_plus.table, gold).f1
         assert f_full >= f_mv - 0.02
+
+    def test_attribute_without_votes_is_dropped(self, spark, fda_art):
+        art = dataclasses.replace(
+            fda_art, attrs=[*fda_art.attrs, "no_such_attribute"],
+            labels={**fda_art.labels, "no_such_attribute": {}})
+        res = evaporate.finish_code_plus(spark, art)
+        assert not res.plans["no_such_attribute"].alive
+        assert "no_such_attribute" not in res.attrs
 
     def test_filter_prunes_functions(self, spark, fda_art):
         unfiltered = evaporate.finish_code_plus(spark, fda_art, aggregator="ws")
